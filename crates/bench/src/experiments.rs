@@ -420,10 +420,6 @@ pub fn sweep(
         // Large shards amortize the per-batch scoped-thread spawn;
         // checkpoints land on shard boundaries either way.
         .with_shard_size(4096)
-        // The §6 odometer never revisits a structure, so a
-        // single-machine sweep skips the per-function fingerprint
-        // set and keeps the checkpoint O(cursor), not O(space).
-        .with_dedup(false)
         .with_process_shard(shard_id, shards);
     if let Some(b) = budget {
         campaign = campaign.with_budget(b);
@@ -560,8 +556,6 @@ pub fn sweep_merge(paths: &[PathBuf], save: Option<&Path>) -> Result<(Table, Str
             "changed",
             "violations",
             "inconclusive",
-            "dedup skips",
-            "seen peak",
             "complete",
         ],
     );
@@ -571,8 +565,6 @@ pub fn sweep_merge(paths: &[PathBuf], save: Option<&Path>) -> Result<(Table, Str
         merged.changed.to_string(),
         merged.violations.len().to_string(),
         merged.inconclusive.to_string(),
-        merged.dedup_skips.to_string(),
-        merged.seen_peak.to_string(),
         if merged.done {
             "yes".into()
         } else {
@@ -591,16 +583,13 @@ pub fn sweep_merge(paths: &[PathBuf], save: Option<&Path>) -> Result<(Table, Str
 /// keep their historical spelling; new fields append after them.
 fn sweep_summary(cp: &CampaignCheckpoint) -> String {
     format!(
-        "sweep: checked={} changed={} refined={} violations={} inconclusive={} complete={} \
-         dedup_skips={} seen_peak={}",
+        "sweep: checked={} changed={} refined={} violations={} inconclusive={} complete={}",
         cp.total,
         cp.changed,
         cp.refined,
         cp.violations.len(),
         cp.inconclusive,
         cp.done,
-        cp.dedup_skips,
-        cp.seen_peak,
     )
 }
 
@@ -624,14 +613,12 @@ fn sweep_bench_json(
     let stats = &report.stats;
     let bitslice_passes = delta.counter("frost.core.bitslice.compiles");
     let tuples = delta.counter("frost.core.bitslice.tuples_per_pass");
-    let denom = (cp.total + cp.dedup_skips).max(1);
     format!(
         "{{\"kind\":\"bench\",\"experiment\":\"sweep\",\"domain\":\"{domain}\",\
          \"insts\":{},\"space\":\"{}\",\
          \"prune\":{},\"shards\":{},\"shard_id\":{},\"checked\":{},\"changed\":{},\
          \"refined\":{},\"violations\":{},\"inconclusive\":{},\"complete\":{},\
-         \"wall_secs\":{:.3},\"fns_per_sec\":{:.1},\"dedup_skips\":{},\"seen_peak\":{},\
-         \"dedup_skip_rate\":{:.4},\"cache_hits\":{},\"cache_misses\":{},\
+         \"wall_secs\":{:.3},\"fns_per_sec\":{:.1},\"cache_hits\":{},\"cache_misses\":{},\
          \"tuples_per_pass\":{:.1},\"pruned_commutative\":{},\"pruned_const_position\":{},\
          \"pruned_dead\":{},\"stride_skips\":{}}}\n",
         num_insts,
@@ -647,9 +634,6 @@ fn sweep_bench_json(
         cp.done,
         stats.wall.as_secs_f64(),
         stats.functions_per_sec,
-        cp.dedup_skips,
-        cp.seen_peak,
-        cp.dedup_skips as f64 / denom as f64,
         stats.cache_hits,
         stats.cache_misses,
         if bitslice_passes > 0 {

@@ -27,13 +27,17 @@
 //! enumerate inputs differently must use different salts.
 //!
 //! The cache is thread-safe (a mutexed map plus atomic hit/miss
-//! counters) and is shared by all workers of a parallel campaign. The
+//! counters) and is shared by all workers of a parallel campaign.
+//! Stored entries are single-flight: the first worker to miss a key
+//! enumerates it while later workers wait for that result, so every
+//! stored key is enumerated — and counted as a miss — exactly once,
+//! whatever the worker count. The
 //! map hashes with [`crate::fasthash::FastHasher`]: keys are in-process
 //! fingerprints of generated IR, so the keyed DoS resistance of the
 //! default hasher buys nothing on this hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use frost_ir::{FunctionKey, Module};
 
@@ -82,11 +86,15 @@ pub fn enumerate_all_inputs(
     crate::engine::enumerate_function(module, name, inputs, mem, sem, limits, Engine::Plan)
 }
 
+/// One table entry: filled once by the worker that first missed its
+/// key; workers that race it block in [`OnceLock::get_or_init`].
+type Slot = Arc<OnceLock<Arc<EnumeratedOutcomes>>>;
+
 /// A thread-safe memoization table for whole-function outcome
 /// enumeration. See the [module docs](self) for the key structure.
 #[derive(Default)]
 pub struct OutcomeCache {
-    map: Mutex<FastHashMap<CacheKey, Arc<EnumeratedOutcomes>>>,
+    map: Mutex<FastHashMap<CacheKey, Slot>>,
     plans: PlanCache,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -94,15 +102,14 @@ pub struct OutcomeCache {
 
 /// Process-wide mirrors of the per-cache hit/miss tallies, registered
 /// once (`frost.core.cache.hits` / `frost.core.cache.misses` — see
-/// docs/OBSERVABILITY.md). Per-cache counts stay exact; under parallel
-/// campaigns two workers may race on one key and both count a miss, so
-/// the global counters are throughput telemetry, not a determinism
-/// surface.
+/// docs/OBSERVABILITY.md). Stored keys miss exactly once, but a
+/// transient probe (`store = false`) hits only if another check already
+/// filled its key, which depends on worker interleaving, so the global
+/// counters are throughput telemetry, not a determinism surface.
 fn global_cache_counters() -> (
     &'static frost_telemetry::Counter,
     &'static frost_telemetry::Counter,
 ) {
-    use std::sync::OnceLock;
     static COUNTERS: OnceLock<(
         &'static frost_telemetry::Counter,
         &'static frost_telemetry::Counter,
@@ -199,19 +206,59 @@ impl OutcomeCache {
             engine,
             salt,
         };
-        if let Some(entry) = self.map.lock().expect("cache lock").get(&key) {
+        let slot = {
+            let mut map = self.map.lock().expect("cache lock");
+            match map.get(&key) {
+                Some(slot) => Some(Arc::clone(slot)),
+                None if store => Some(Arc::clone(map.entry(key.clone()).or_default())),
+                None => None,
+            }
+        };
+        // Enumerate outside the map lock: enumeration is the expensive
+        // part and holding the lock across it would serialize every
+        // worker. Only workers racing on the *same* stored key wait on
+        // each other, in the slot's `get_or_init`; the one that runs the
+        // enumeration counts the miss and the rest count hits.
+        let mut missed = false;
+        let mut enumerate = || {
+            missed = true;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            global_cache_counters().1.incr();
+            Arc::new(self.enumerate_uncached(
+                &key.key, module, name, inputs, mem, sem, limits, engine, store,
+            ))
+        };
+        let entry = match slot {
+            Some(slot) if store => Arc::clone(slot.get_or_init(enumerate)),
+            // A transient probe never waits on or fills a pending slot.
+            Some(slot) => match slot.get() {
+                Some(entry) => Arc::clone(entry),
+                None => enumerate(),
+            },
+            None => enumerate(),
+        };
+        if !missed {
             self.hits.fetch_add(1, Ordering::Relaxed);
             global_cache_counters().0.incr();
-            return Arc::clone(entry);
         }
-        // Enumerate outside the lock: enumeration is the expensive part
-        // and holding the lock across it would serialize every worker.
-        // Two workers may race on the same key and both enumerate; the
-        // result is identical and the second insert is a harmless
-        // overwrite.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        global_cache_counters().1.incr();
-        let entry = Arc::new(if engine == Engine::Reference {
+        entry
+    }
+
+    /// The enumeration behind a cache miss.
+    #[allow(clippy::too_many_arguments)]
+    fn enumerate_uncached(
+        &self,
+        fkey: &FunctionKey,
+        module: &Module,
+        name: &str,
+        inputs: &[Vec<Val>],
+        mem: &Memory,
+        sem: Semantics,
+        limits: Limits,
+        engine: Engine,
+        store: bool,
+    ) -> EnumeratedOutcomes {
+        if engine == Engine::Reference {
             inputs
                 .iter()
                 .map(|args| reference::enumerate_outcomes(module, name, args, mem, sem, limits))
@@ -220,24 +267,17 @@ impl OutcomeCache {
             // Compiled plans are cached separately from outcome vectors:
             // the plan key ignores limits, engine, and salt, so
             // re-enumerating the same function under different input
-            // options still reuses the compilation. The fingerprint
-            // computed above is reused as the plan key, under the same
+            // options still reuses the compilation. The outcome key's
+            // fingerprint doubles as the plan key, under the same
             // storage policy.
             match self
                 .plans
-                .get_or_compile_keyed_policy(&key.key, module, name, sem, store)
+                .get_or_compile_keyed_policy(fkey, module, name, sem, store)
             {
                 Some((plan, idx)) => run_compiled(&plan, idx, inputs, mem, limits, engine),
                 None => vec![Err(ExecError::BadFunction(name.to_string()))],
             }
-        });
-        if store {
-            self.map
-                .lock()
-                .expect("cache lock")
-                .insert(key, Arc::clone(&entry));
         }
-        entry
     }
 
     /// The embedded plan cache (distinct compiled functions, plan-cache
@@ -268,7 +308,8 @@ impl OutcomeCache {
 
     /// Distinct (function, semantics) combinations stored.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock").len()
+        let map = self.map.lock().expect("cache lock");
+        map.values().filter(|slot| slot.get().is_some()).count()
     }
 
     /// Returns `true` if nothing has been cached yet.
@@ -442,5 +483,33 @@ mod tests {
             0,
         );
         assert!(matches!(r[0], Err(ExecError::BadFunction(_))));
+    }
+
+    #[test]
+    fn racing_workers_enumerate_a_stored_key_once() {
+        let m = parse_module(F).unwrap();
+        let cache = OutcomeCache::new();
+        let entries: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        cache.enumerate(
+                            &m,
+                            "g",
+                            &inputs(),
+                            &Memory::zeroed(0),
+                            Semantics::proposed(),
+                            Limits::default(),
+                            Engine::Plan,
+                            0,
+                        )
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!((cache.misses(), cache.hits()), (1, 7));
+        assert_eq!(cache.plans().len(), 1);
+        assert!(entries.iter().all(|e| Arc::ptr_eq(e, &entries[0])));
     }
 }

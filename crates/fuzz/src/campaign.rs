@@ -1,15 +1,19 @@
-//! Sharded, work-stealing parallel validation campaigns.
+//! Parallel validation campaigns: one driver over three corpus
+//! sources.
 //!
 //! The §6 methodology — generate millions of tiny functions, optimize
 //! each, check refinement — is embarrassingly parallel: every function
 //! is validated independently. [`Campaign`] is the engine that
-//! exploits this. A campaign splits the corpus into fixed-size *shards*
-//! of consecutive function indices; workers (scoped threads) claim
-//! shards off a shared atomic counter, so fast workers steal work that
-//! slow workers never reach. All workers share one
-//! [`OutcomeCache`], so each distinct
-//! (canonical function, semantics) pair is enumerated once per
-//! campaign, no matter which worker sees it first.
+//! exploits this. Its three entry points differ only in where the
+//! functions come from — a caller's iterator ([`Campaign::run`]), the
+//! seeded random stream ([`Campaign::run_random`]) or the exhaustive
+//! odometer with its resumable cursor ([`Campaign::run_exhaustive`]) —
+//! and share one driver: the calling thread pulls fixed-size *chunks*
+//! of the corpus, applying the budget, the deadline and process-shard
+//! alignment as it goes, and worker threads (scoped) check them. All
+//! workers share one [`OutcomeCache`], so each distinct (canonical
+//! function, semantics) pair is enumerated once per campaign, no
+//! matter which worker sees it first.
 //!
 //! ## Determinism
 //!
@@ -18,24 +22,24 @@
 //! [`ValidationReport`] — byte-identical violations in the same order —
 //! at any worker count. Two mechanisms guarantee this:
 //!
-//! * random corpora derive each function's RNG from its global index
-//!   ([`random_functions_range`]),
-//!   so which worker generates function *i* is irrelevant;
+//! * one thread decides which functions are checked, in corpus order,
+//!   so budgets and shard alignment never depend on worker timing;
 //! * every [`Violation`] carries its global index, and the merge step
-//!   sorts by it, erasing shard-completion order.
+//!   sorts by it, erasing chunk-completion order.
 //!
 //! Only the wall-clock numbers in [`CampaignStats`] (and anything cut
 //! off by a [`deadline`](Campaign::with_deadline)) vary between runs.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use frost_core::{Engine, FastHashSet, OutcomeCache, Semantics};
-use frost_ir::{function_to_string, Function, FunctionKey, KeyDigest, Module};
+use frost_core::{Engine, OutcomeCache, Semantics};
+use frost_ir::{function_to_string, Function, Module};
 use frost_refine::{check_refinement_cached_policy, CheckOptions, CheckPolicy, CheckResult};
-use frost_telemetry::{Counter, Gauge, Histogram};
+use frost_telemetry::{Counter, Histogram};
 
 use crate::checkpoint::CampaignCheckpoint;
 use crate::gen::{random_functions_range, ExhaustiveFunctions, GenConfig};
@@ -43,8 +47,8 @@ use crate::validate::{ValidationReport, Violation};
 
 /// The engine's process-wide telemetry (see docs/OBSERVABILITY.md):
 /// always-on verdict counters under `frost.fuzz.campaign.*`, the
-/// shard-claim latency histogram, and the skip-reason tallies. Handles
-/// are resolved once per process.
+/// per-chunk wait histogram, and the skip-reason tallies. Handles are
+/// resolved once per process.
 struct CampaignCounters {
     runs: &'static Counter,
     checked: &'static Counter,
@@ -55,9 +59,7 @@ struct CampaignCounters {
     shards: &'static Counter,
     skip_deadline_fns: &'static Counter,
     skip_budget: &'static Counter,
-    skip_dedup: &'static Counter,
     skip_stride: &'static Counter,
-    seen_peak: &'static Gauge,
     resumes: &'static Counter,
     claim_ns: &'static Histogram,
 }
@@ -74,9 +76,7 @@ fn campaign_counters() -> &'static CampaignCounters {
         shards: frost_telemetry::counter("frost.fuzz.campaign.shards"),
         skip_deadline_fns: frost_telemetry::counter("frost.fuzz.campaign.skip.deadline_fns"),
         skip_budget: frost_telemetry::counter("frost.fuzz.campaign.skip.budget"),
-        skip_dedup: frost_telemetry::counter("frost.fuzz.campaign.skip.dedup"),
         skip_stride: frost_telemetry::counter("frost.fuzz.campaign.skip.stride"),
-        seen_peak: frost_telemetry::gauge("frost.fuzz.campaign.seen_peak"),
         resumes: frost_telemetry::counter("frost.fuzz.campaign.resumes"),
         claim_ns: frost_telemetry::histogram("frost.fuzz.campaign.claim_ns"),
     })
@@ -125,12 +125,13 @@ pub type ProgressObserver = Box<dyn Fn(&Progress) + Send + Sync>;
 
 /// A live snapshot of a running campaign, handed to the observer
 /// installed with [`Campaign::with_observer`] after each completed
-/// shard.
+/// chunk.
 #[derive(Clone, Copy, Debug)]
 pub struct Progress {
     /// Functions validated so far.
     pub checked: usize,
-    /// Total functions the campaign will validate.
+    /// Total functions the campaign will validate (for an exhaustive
+    /// sweep, this process's share of the whole space).
     pub total: usize,
     /// Functions the transform changed, so far.
     pub changed: usize,
@@ -172,7 +173,6 @@ pub struct Campaign {
     budget: Option<usize>,
     deadline: Option<Duration>,
     observer: Option<ProgressObserver>,
-    dedup: bool,
     /// `(shard_id, shards)` — the residue class of the exhaustive walk
     /// this process owns. `(0, 1)` means the whole space.
     process_shard: (usize, usize),
@@ -180,7 +180,7 @@ pub struct Campaign {
 
 impl Campaign {
     /// A campaign checking source and target under `sem`, with
-    /// auto-detected worker count, shards of 64 functions, no budget
+    /// auto-detected worker count, chunks of 64 functions, no budget
     /// and no deadline.
     pub fn new(sem: Semantics) -> Campaign {
         Campaign::with_options(CheckOptions::new(sem))
@@ -196,7 +196,6 @@ impl Campaign {
             budget: None,
             deadline: None,
             observer: None,
-            dedup: true,
             process_shard: (0, 1),
         }
     }
@@ -220,9 +219,9 @@ impl Campaign {
         self
     }
 
-    /// Returns this campaign with the given shard granularity
-    /// (functions claimed per steal). Smaller shards balance better;
-    /// larger shards contend less. The default is 64.
+    /// Returns this campaign with the given chunk size (functions
+    /// handed to a worker at a time). Smaller chunks balance better;
+    /// larger chunks cost less hand-off. The default is 64.
     #[must_use]
     pub fn with_shard_size(mut self, shard_size: usize) -> Campaign {
         self.shard_size = shard_size.max(1);
@@ -230,34 +229,38 @@ impl Campaign {
     }
 
     /// Returns this campaign with an upper bound on functions checked.
-    /// The corpus is truncated *before* sharding, so a budget never
-    /// affects which verdicts the surviving prefix produces.
+    /// The corpus is truncated as it is pulled, in corpus order, so a
+    /// budget never affects which verdicts the surviving prefix
+    /// produces.
     #[must_use]
     pub fn with_budget(mut self, budget: usize) -> Campaign {
         self.budget = Some(budget);
         self
     }
 
-    /// Returns this campaign with a wall-clock deadline. Workers stop
-    /// claiming shards once it expires; [`CampaignStats::skipped`]
-    /// counts what was left. Deadlines trade determinism for
-    /// predictable latency — cut-off campaigns may differ between runs.
+    /// Returns this campaign with a wall-clock deadline. The driver
+    /// stops pulling chunks once it expires; [`CampaignStats::skipped`]
+    /// counts what was left of a corpus of known size. Deadlines trade
+    /// determinism for predictable latency — cut-off campaigns may
+    /// differ between runs.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Campaign {
         self.deadline = Some(deadline);
         self
     }
 
-    /// Returns this campaign with [`FunctionKey`] dedup on or off for
-    /// [`Campaign::run_exhaustive`] (default: on). Dedup guards
-    /// overlapping cross-process shards at the cost of holding one
-    /// fingerprint per checked function; a single-process sweep of a
-    /// duplicate-free space (every odometer position of the §6
-    /// generator is structurally distinct) can turn it off to keep the
-    /// checkpoint O(cursor) instead of O(space).
+    /// Structural dedup was removed: the odometer never revisits a
+    /// shape and residue-class shards are disjoint, so no shipped
+    /// domain ever skipped a function. Kept only so that callers
+    /// passing `false` still build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dedup` is `true`.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_dedup(mut self, dedup: bool) -> Campaign {
-        self.dedup = dedup;
+    pub fn with_dedup(self, dedup: bool) -> Campaign {
+        assert!(!dedup, "structural dedup was removed from Campaign");
         self
     }
 
@@ -287,7 +290,7 @@ impl Campaign {
     }
 
     /// Returns this campaign with a live-progress observer, invoked by
-    /// whichever worker finishes a shard (concurrently — the callback
+    /// whichever worker finishes a chunk (concurrently — the callback
     /// must be `Sync`).
     #[must_use]
     pub fn with_observer(
@@ -298,30 +301,33 @@ impl Campaign {
         self
     }
 
-    /// Validates `transform` over a materialized corpus (applies the
-    /// budget while collecting it).
+    /// Validates `transform` over a caller-supplied corpus. The corpus
+    /// is collected up front (up to the budget), so [`Progress::total`]
+    /// is exact.
     pub fn run(
         &self,
         functions: impl IntoIterator<Item = Function>,
         transform: impl Fn(&mut Module) + Sync,
     ) -> ValidationReport {
-        let mut corpus: Vec<Function> = Vec::new();
-        let mut budget_hit = false;
-        for f in functions {
-            if self.budget == Some(corpus.len()) {
-                budget_hit = true;
-                break;
-            }
-            corpus.push(f);
-        }
-        self.run_indexed(corpus.len(), budget_hit, &|i| corpus[i].clone(), &transform)
+        let mut functions = functions.into_iter();
+        let corpus: Vec<Function> = functions
+            .by_ref()
+            .take(self.budget.unwrap_or(usize::MAX))
+            .collect();
+        let source = Source::Indexed {
+            make: &|i| corpus[i].clone(),
+            indices: 0..corpus.len(),
+            more: self.budget == Some(corpus.len()) && functions.next().is_some(),
+        };
+        self.drive(source, &transform)
     }
 
     /// Validates `transform` over `count` randomly generated functions
-    /// without materializing the corpus: each worker generates exactly
-    /// the functions of the shards it claims, from the per-index RNG
-    /// stream. The verdicts equal `self.run(random_functions(cfg, seed,
-    /// count), ..)` at any worker count.
+    /// without materializing the corpus: the driver hands out index
+    /// ranges and each worker generates exactly the functions of its
+    /// chunks, from the per-index RNG stream. The verdicts equal
+    /// `self.run(random_functions(cfg, seed, count), ..)` at any worker
+    /// count.
     pub fn run_random(
         &self,
         cfg: &GenConfig,
@@ -329,43 +335,37 @@ impl Campaign {
         count: usize,
         transform: impl Fn(&mut Module) + Sync,
     ) -> ValidationReport {
-        let checked = self.budget.map_or(count, |b| b.min(count));
-        let budget_hit = checked < count;
-        self.run_indexed(
-            checked,
-            budget_hit,
-            &|i| {
-                random_functions_range(cfg, seed, i, 1)
-                    .pop()
-                    .expect("count is 1")
-            },
-            &transform,
-        )
+        let make = |i| {
+            let f = random_functions_range(cfg, seed, i, 1).pop();
+            f.expect("count is 1")
+        };
+        let source = Source::Indexed {
+            make: &make,
+            indices: 0..count,
+            more: false,
+        };
+        self.drive(source, &transform)
     }
 
     /// Validates `transform` over the *entire* exhaustive function
-    /// space of `cfg` — the paper's full sweep, not a sample — with
-    /// structural dedup and a resumable checkpoint.
+    /// space of `cfg` — the paper's full sweep, not a sample — with a
+    /// resumable checkpoint.
     ///
-    /// The calling thread pulls `shard_size`-function chunks from the
-    /// enumeration *sequentially* (aligning to this process's residue
-    /// class under [`Campaign::with_process_shard`], and skipping any
-    /// function whose [`FunctionKey`] digest was already checked, this
-    /// run or a previous one) and feeds them to the workers through a
-    /// bounded hand-off queue, so generation overlaps checking without
-    /// unbounded buffering. Because both the generator walk and the
-    /// dedup decisions happen on one thread, the set of functions
+    /// The calling thread walks the odometer, aligning to this
+    /// process's residue class under [`Campaign::with_process_shard`],
+    /// and the driver hands the generated chunks to the workers.
+    /// Because the walk happens on one thread, the set of functions
     /// checked — and therefore every verdict — is identical at any
     /// worker count.
     ///
     /// `resume` continues a previous sweep: the generator restarts at
-    /// the checkpoint's cursor (so `fz{n}` names stay globally stable),
-    /// the dedup set is re-seeded, and the returned report is
-    /// **cumulative** — an interrupted-and-resumed sweep ends with
-    /// byte-identical violations and tallies to an uninterrupted one.
+    /// the checkpoint's cursor (so `fz{n}` names stay globally stable)
+    /// and the returned report is **cumulative** — an
+    /// interrupted-and-resumed sweep ends with byte-identical
+    /// violations and tallies to an uninterrupted one.
     /// [`Campaign::with_budget`] bounds the functions checked *this
     /// call* (the natural sharding unit for cross-process sweeps);
-    /// [`Campaign::with_deadline`] stops pulling new batches when it
+    /// [`Campaign::with_deadline`] stops pulling new chunks when it
     /// expires. Either way the returned [`CampaignCheckpoint`] points
     /// at the exact next unchecked function.
     ///
@@ -383,12 +383,6 @@ impl Campaign {
         resume: Option<&CampaignCheckpoint>,
         transform: impl Fn(&mut Module) + Sync,
     ) -> (ValidationReport, CampaignCheckpoint) {
-        let start = Instant::now();
-        let ctrs = campaign_counters();
-        ctrs.runs.incr();
-        if resume.is_some() {
-            ctrs.resumes.incr();
-        }
         let (shard_id, shards) = self.process_shard;
         let mut generator = match resume {
             Some(cp) => {
@@ -401,266 +395,149 @@ impl Campaign {
                     shard_id,
                     shards,
                 );
+                campaign_counters().resumes.incr();
                 ExhaustiveFunctions::resume(cfg.clone(), &cp.cursor, cp.counter, cp.done)
                     .expect("checkpoint cursor does not fit this GenConfig")
             }
             None => ExhaustiveFunctions::new(cfg.clone()),
         };
+        let source = Source::Odometer {
+            generator: &mut generator,
+            shard_id,
+            shards,
+        };
+        let mut report = self.drive(source, &transform);
+
         let mut cp = resume.cloned().unwrap_or_default();
-        cp.shards = shards;
-        cp.shard_id = shard_id;
-        let mut seen: FastHashSet<KeyDigest> = cp.seen.iter().copied().collect();
-        let est_total =
-            (generator.approx_size() / shards.max(1) as u128).min(usize::MAX as u128) as usize;
-
-        let cache = OutcomeCache::new();
-        let live = LiveCounters::default();
-        let chunk_cap = self.shard_size.max(1);
-        let workers = self.effective_workers(usize::MAX);
-        let mut run_span = frost_telemetry::span("fuzz.campaign.exhaustive")
-            .field("resumed", resume.is_some())
-            .field("chunk_cap", chunk_cap)
-            .field("shards", shards)
-            .field("shard_id", shard_id);
-
-        let mut checked_this_run = 0usize;
-        let mut budget_hit = false;
-        let mut deadline_hit = false;
-        let partials: Vec<Partial> = {
-            // Sequential chunk pulling: the single-threaded generator
-            // walk — stride alignment, then dedup — is the determinism
-            // anchor. A function enters `seen` if and only if some
-            // chunk will check it, so the set of functions checked is
-            // identical at any worker count.
-            let (generator, seen, cp) = (&mut generator, &mut seen, &mut cp);
-            let (deadline_hit, budget_hit) = (&mut deadline_hit, &mut budget_hit);
-            let checked = &mut checked_this_run;
-            let mut pull_chunk = move || -> Vec<(usize, Function)> {
-                let cap = match self.budget {
-                    Some(b) => {
-                        let left = b.saturating_sub(*checked);
-                        if left == 0 {
-                            *budget_hit = true;
-                            return Vec::new();
-                        }
-                        chunk_cap.min(left)
-                    }
-                    None => chunk_cap,
-                };
-                let mut chunk = Vec::with_capacity(cap);
-                while chunk.len() < cap {
-                    if let Some(d) = self.deadline {
-                        if start.elapsed() >= d {
-                            *deadline_hit = true;
-                            break;
-                        }
-                    }
-                    if shards > 1 {
-                        // Self-align to this process's residue class:
-                        // jump over positions owned by other shards.
-                        let stride = shards as u64;
-                        // NB: explicit deref — on `&mut _` a bare
-                        // `.position()` resolves to `Iterator::position`.
-                        let pos = (*generator).position();
-                        let ahead = (shard_id as u64 + stride - pos % stride) % stride;
-                        if ahead > 0 {
-                            generator.fast_forward(ahead);
-                            ctrs.skip_stride.add(ahead);
-                        }
-                    }
-                    let index = (*generator).position() as usize;
-                    let Some(f) = generator.next() else { break };
-                    if self.dedup {
-                        let digest = FunctionKey::of(&f).digest();
-                        if !seen.insert(digest) {
-                            cp.dedup_skips += 1;
-                            ctrs.skip_dedup.incr();
-                            continue;
-                        }
-                        cp.seen.push(digest);
-                    }
-                    chunk.push((index, f));
-                }
-                *checked += chunk.len();
-                chunk
-            };
-            // Exhaustive sources are transient: the odometer never
-            // revisits a shape, so caching source enumerations would
-            // grow the campaign's working set with the space instead
-            // of the (tiny) set of canonical target forms.
-            let policy = CheckPolicy {
-                transient_src: true,
-            };
-            let run_chunk = |chunk: Vec<(usize, Function)>, p: &mut Partial| {
-                ctrs.shards.incr();
-                for (index, f) in chunk {
-                    self.check_fn(index, f, &transform, &cache, policy, p, &live, ctrs);
-                }
-                if let Some(obs) = &self.observer {
-                    obs(&live.snapshot(est_total, start, &cache));
-                }
-            };
-            if workers <= 1 {
-                let mut p = Partial::default();
-                loop {
-                    let chunk = pull_chunk();
-                    if chunk.is_empty() {
-                        break;
-                    }
-                    run_chunk(chunk, &mut p);
-                }
-                vec![p]
-            } else {
-                // Generation overlaps checking: workers drain a
-                // bounded hand-off queue while the calling thread
-                // keeps pulling, so neither side buffers more than
-                // `2 × workers` chunks ahead.
-                let queue: HandoffQueue<Vec<(usize, Function)>> = HandoffQueue::new(workers * 2);
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            s.spawn(|| {
-                                let mut p = Partial::default();
-                                while let Some(chunk) = queue.pop() {
-                                    run_chunk(chunk, &mut p);
-                                }
-                                p
-                            })
-                        })
-                        .collect();
-                    loop {
-                        let chunk = pull_chunk();
-                        if chunk.is_empty() {
-                            break;
-                        }
-                        queue.push(chunk);
-                    }
-                    queue.close();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("validation worker panicked"))
-                        .collect()
-                })
-            }
-        };
-        for p in partials {
-            cp.total += p.total;
-            cp.changed += p.changed;
-            cp.refined += p.refined;
-            cp.inconclusive += p.inconclusive;
-            cp.violations.extend(p.violations);
-        }
-
-        // Erase chunk-completion order; cross-run appends are already
-        // index-monotone, so this also keeps resumed reports canonical.
-        cp.violations.sort_by_key(|v| v.index);
-        // Canonical artifact order: equal dedup sets serialize
-        // byte-identically no matter how the walk interleaved.
-        cp.seen.sort_unstable();
-        cp.seen_peak = cp.seen_peak.max(seen.len());
-        ctrs.seen_peak.record_max(seen.len() as u64);
-        let (cursor, counter, done) = generator.cursor();
-        cp.cursor = cursor;
-        cp.counter = counter;
-        cp.done = done;
-        let budget_hit = budget_hit && !done;
-        if budget_hit {
-            ctrs.skip_budget.incr();
-        }
-        run_span.set("checked", checked_this_run);
-        run_span.set("violations", cp.violations.len());
-        run_span.set("done", done);
-        drop(run_span);
-
-        let wall = start.elapsed();
-        let secs = wall.as_secs_f64();
-        let report = ValidationReport {
-            total: cp.total,
-            changed: cp.changed,
-            refined: cp.refined,
-            inconclusive: cp.inconclusive,
-            violations: cp.violations.clone(),
-            stats: CampaignStats {
-                workers: self.effective_workers(usize::MAX),
-                wall,
-                functions_per_sec: if secs > 0.0 {
-                    checked_this_run as f64 / secs
-                } else {
-                    0.0
-                },
-                cache_hits: cache.hits(),
-                cache_misses: cache.misses(),
-                cache_entries: cache.len(),
-                budget_hit,
-                deadline_hit,
-                skipped: 0,
-            },
-        };
+        (cp.shards, cp.shard_id) = (shards, shard_id);
+        (cp.cursor, cp.counter, cp.done) = generator.cursor();
+        cp.total += report.total;
+        cp.changed += report.changed;
+        cp.refined += report.refined;
+        cp.inconclusive += report.inconclusive;
+        // Earlier legs only hold smaller indices, so appending keeps
+        // the violations in corpus order.
+        cp.violations.append(&mut report.violations);
+        report.total = cp.total;
+        report.changed = cp.changed;
+        report.refined = cp.refined;
+        report.inconclusive = cp.inconclusive;
+        report.violations = cp.violations.clone();
         (report, cp)
     }
 
-    fn run_indexed(
+    /// The one campaign driver. The calling thread pulls chunks from
+    /// `source` — budget, deadline and (inside the odometer source)
+    /// stride alignment are all decided there, in corpus order — and
+    /// the chunks are checked inline at one worker or handed to the
+    /// workers through a bounded [`HandoffQueue`]. The returned report
+    /// covers this call only.
+    fn drive<'s>(
         &self,
-        count: usize,
-        budget_hit: bool,
-        make: &(impl Fn(usize) -> Function + Sync),
+        mut source: Source<'s>,
         transform: &(impl Fn(&mut Module) + Sync),
     ) -> ValidationReport {
         let start = Instant::now();
-        let num_shards = count.div_ceil(self.shard_size.max(1));
-        let workers = self.effective_workers(num_shards);
-        let cache = OutcomeCache::new();
-        let next_shard = AtomicUsize::new(0);
-        let deadline_expired = AtomicBool::new(false);
-        let live = LiveCounters::default();
         let ctrs = campaign_counters();
         ctrs.runs.incr();
+        let chunk_cap = self.shard_size.max(1);
+        let (size, exact) = source.size();
+        let total = self.budget.map_or(size, |b| b.min(size));
+        let workers = self.effective_workers(if exact {
+            total.div_ceil(chunk_cap)
+        } else {
+            usize::MAX
+        });
+        // Exhaustive sources are transient: the odometer never revisits
+        // a shape, so caching source enumerations would grow the
+        // campaign's working set with the space instead of the (tiny)
+        // set of canonical target forms. Sampled and caller-supplied
+        // corpora do repeat, so their sources are cached like targets.
+        let policy = CheckPolicy {
+            transient_src: matches!(source, Source::Odometer { .. }),
+        };
+        let cache = OutcomeCache::new();
+        let live = LiveCounters::default();
         let mut run_span = frost_telemetry::span("fuzz.campaign.run")
-            .field("count", count)
-            .field("shards", num_shards)
+            .field("count", total)
+            .field("chunk_cap", chunk_cap)
             .field("workers", workers);
 
-        let work = || {
-            let mut p = Partial::default();
+        let mut checked = 0usize;
+        let mut budget_stop = false;
+        let mut deadline_hit = false;
+        let mut pulled = 0usize;
+        let mut pull = || -> Option<(usize, Chunk<'s>)> {
+            let cap = match self.budget {
+                Some(b) if b <= checked => {
+                    budget_stop = true;
+                    return None;
+                }
+                Some(b) => chunk_cap.min(b - checked),
+                None => chunk_cap,
+            };
+            if self.deadline.is_some_and(|d| start.elapsed() >= d) {
+                deadline_hit = true;
+                return None;
+            }
+            let chunk = source.pull(cap)?;
+            checked += chunk.len();
+            pulled += 1;
+            Some((pulled - 1, chunk))
+        };
+        // The one worker loop: check chunks from `next` until it runs
+        // dry. `claim_ns` is how long each chunk took to arrive.
+        let work = |next: &mut dyn FnMut() -> Option<(usize, Chunk<'s>)>| {
+            let mut p = ValidationReport::default();
             loop {
-                let claim_start = Instant::now();
-                if let Some(d) = self.deadline {
-                    if start.elapsed() >= d {
-                        deadline_expired.store(true, Ordering::Relaxed);
+                let wait = Instant::now();
+                let Some((shard, chunk)) = next() else {
+                    return p;
+                };
+                let claim_ns = wait.elapsed().as_nanos() as u64;
+                ctrs.shards.incr();
+                ctrs.claim_ns.record(claim_ns);
+                let (lo, hi) = chunk.bounds();
+                let shard_span = frost_telemetry::span("fuzz.campaign.shard")
+                    .field("shard", shard)
+                    .field("lo", lo)
+                    .field("hi", hi)
+                    .field("claim_ns", claim_ns);
+                chunk.for_each(|index, f| {
+                    self.check_fn(index, f, transform, &cache, policy, &mut p, &live, ctrs);
+                });
+                drop(shard_span);
+                if let Some(obs) = &self.observer {
+                    obs(&live.snapshot(total, start, &cache));
+                }
+            }
+        };
+        let partials: Vec<ValidationReport> = if workers <= 1 {
+            vec![work(&mut pull)]
+        } else {
+            // Generation overlaps checking: workers drain a bounded
+            // hand-off queue while the calling thread keeps pulling,
+            // so neither side buffers more than `2 × workers` chunks
+            // ahead.
+            let queue = HandoffQueue::new(workers * 2);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        s.spawn(|| {
+                            // Closing on exit (a no-op unless this
+                            // worker panics) keeps the pulling thread
+                            // from blocking forever on a full queue.
+                            let _close = CloseOnDrop(&queue);
+                            work(&mut || queue.pop())
+                        })
+                    })
+                    .collect();
+                while let Some(chunk) = pull() {
+                    if !queue.push(chunk) {
                         break;
                     }
                 }
-                let shard = next_shard.fetch_add(1, Ordering::Relaxed);
-                if shard >= num_shards {
-                    break;
-                }
-                let claim_ns = claim_start.elapsed().as_nanos() as u64;
-                ctrs.shards.incr();
-                ctrs.claim_ns.record(claim_ns);
-                let lo = shard * self.shard_size;
-                let hi = (lo + self.shard_size).min(count);
-                {
-                    let _shard_span = frost_telemetry::span("fuzz.campaign.shard")
-                        .field("shard", shard)
-                        .field("lo", lo)
-                        .field("hi", hi)
-                        .field("claim_ns", claim_ns);
-                    for i in lo..hi {
-                        self.check_one(i, make, transform, &cache, &mut p, &live, ctrs);
-                    }
-                }
-                if let Some(obs) = &self.observer {
-                    obs(&live.snapshot(count, start, &cache));
-                }
-            }
-            p
-        };
-
-        let partials: Vec<Partial> = if workers <= 1 {
-            vec![work()]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+                queue.close();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("validation worker panicked"))
@@ -676,21 +553,25 @@ impl Campaign {
             report.inconclusive += p.inconclusive;
             report.violations.extend(p.violations);
         }
-        // Erase shard-completion order: verdicts come out in corpus
+        // Erase chunk-completion order: verdicts come out in corpus
         // order regardless of which worker produced them.
         report.violations.sort_by_key(|v| v.index);
 
-        let deadline_hit = deadline_expired.load(Ordering::Relaxed);
-        let skipped = count - report.total;
-        if deadline_hit {
-            ctrs.skip_deadline_fns.add(skipped as u64);
-        }
+        let done = source.exhausted();
+        let budget_hit = budget_stop && !done;
         if budget_hit {
             ctrs.skip_budget.incr();
         }
+        let skipped = if deadline_hit && exact {
+            total - report.total
+        } else {
+            0
+        };
+        ctrs.skip_deadline_fns.add(skipped as u64);
         run_span.set("checked", report.total);
         run_span.set("violations", report.violations.len());
         run_span.set("deadline_hit", deadline_hit);
+        run_span.set("done", done);
         drop(run_span);
 
         let wall = start.elapsed();
@@ -713,33 +594,7 @@ impl Campaign {
         report
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn check_one(
-        &self,
-        index: usize,
-        make: &(impl Fn(usize) -> Function + Sync),
-        transform: &(impl Fn(&mut Module) + Sync),
-        cache: &OutcomeCache,
-        p: &mut Partial,
-        live: &LiveCounters,
-        ctrs: &CampaignCounters,
-    ) {
-        let f = make(index);
-        self.check_fn(
-            index,
-            f,
-            transform,
-            cache,
-            CheckPolicy::default(),
-            p,
-            live,
-            ctrs,
-        );
-    }
-
-    /// Checks one already-generated function; the shared verdict path
-    /// of [`check_one`](Campaign::check_one) and
-    /// [`run_exhaustive`](Campaign::run_exhaustive).
+    /// Checks one function: the verdict path every source shares.
     #[allow(clippy::too_many_arguments)]
     fn check_fn(
         &self,
@@ -748,7 +603,7 @@ impl Campaign {
         transform: &(impl Fn(&mut Module) + Sync),
         cache: &OutcomeCache,
         policy: CheckPolicy,
-        p: &mut Partial,
+        p: &mut ValidationReport,
         live: &LiveCounters,
         ctrs: &CampaignCounters,
     ) {
@@ -804,7 +659,130 @@ impl Campaign {
     }
 }
 
-/// A bounded single-producer hand-off queue: the generator thread
+/// Where a campaign's functions come from. Only the calling thread
+/// touches a source; what it pulls travels to a worker as a [`Chunk`].
+enum Source<'a> {
+    /// [`Campaign::run`] and [`Campaign::run_random`]: the corpus
+    /// indices still to hand out, which workers turn into functions
+    /// with `make` — a lookup in the collected corpus, or random
+    /// generation, which so runs in parallel. `more` records that the
+    /// budget already cut the caller's corpus short.
+    Indexed {
+        make: &'a Maker<'a>,
+        indices: Range<usize>,
+        more: bool,
+    },
+    /// [`Campaign::run_exhaustive`]: the odometer walk over one
+    /// residue class of a `shards`-process sweep, generated on the
+    /// pulling thread.
+    Odometer {
+        generator: &'a mut ExhaustiveFunctions,
+        shard_id: usize,
+        shards: usize,
+    },
+}
+
+/// Builds the corpus function at an index, on a worker thread.
+type Maker<'a> = dyn Fn(usize) -> Function + Sync + 'a;
+
+impl<'a> Source<'a> {
+    /// Functions this source yields, and whether that count is exact:
+    /// the odometer reports its residue class's share of the space (an
+    /// estimate, for progress only).
+    fn size(&self) -> (usize, bool) {
+        match self {
+            Source::Indexed { indices, .. } => (indices.len(), true),
+            Source::Odometer {
+                generator, shards, ..
+            } => {
+                let share = generator.approx_size() / *shards as u128;
+                (share.min(usize::MAX as u128) as usize, false)
+            }
+        }
+    }
+
+    /// Up to `cap` more functions, or `None` once the source is dry.
+    fn pull(&mut self, cap: usize) -> Option<Chunk<'a>> {
+        let chunk = match self {
+            Source::Indexed { make, indices, .. } => {
+                let lo = indices.start;
+                indices.start += cap.min(indices.len());
+                Chunk::Indexed(*make, lo..indices.start)
+            }
+            Source::Odometer {
+                generator,
+                shard_id,
+                shards,
+            } => {
+                let stride = *shards as u64;
+                let mut fns = Vec::with_capacity(cap);
+                while fns.len() < cap {
+                    // Self-align to this process's residue class: jump
+                    // over positions owned by other shards. (A bare
+                    // `.position()` on `&mut _` would resolve to
+                    // `Iterator::position`.)
+                    let pos = ExhaustiveFunctions::position(generator);
+                    let ahead = (*shard_id as u64 + stride - pos % stride) % stride;
+                    if ahead > 0 {
+                        generator.fast_forward(ahead);
+                        campaign_counters().skip_stride.add(ahead);
+                    }
+                    let index = ExhaustiveFunctions::position(generator) as usize;
+                    let Some(f) = generator.next() else { break };
+                    fns.push((index, f));
+                }
+                Chunk::Built(fns)
+            }
+        };
+        (chunk.len() > 0).then_some(chunk)
+    }
+
+    /// `true` once nothing is left to pull.
+    fn exhausted(&self) -> bool {
+        match self {
+            Source::Indexed { indices, more, .. } => indices.is_empty() && !more,
+            Source::Odometer { generator, .. } => generator.cursor().2,
+        }
+    }
+}
+
+/// One unit of work handed from the pulling thread to a worker.
+enum Chunk<'a> {
+    /// Corpus indices the worker builds functions for.
+    Indexed(&'a Maker<'a>, Range<usize>),
+    /// Functions the pulling thread already built, with their corpus
+    /// indices.
+    Built(Vec<(usize, Function)>),
+}
+
+impl Chunk<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Chunk::Indexed(_, indices) => indices.len(),
+            Chunk::Built(fns) => fns.len(),
+        }
+    }
+
+    /// The corpus-index span `[lo, hi)` the chunk covers.
+    fn bounds(&self) -> (usize, usize) {
+        match self {
+            Chunk::Indexed(_, indices) => (indices.start, indices.end),
+            Chunk::Built(fns) => (
+                fns.first().map_or(0, |f| f.0),
+                fns.last().map_or(0, |f| f.0 + 1),
+            ),
+        }
+    }
+
+    fn for_each(self, mut check: impl FnMut(usize, Function)) {
+        match self {
+            Chunk::Indexed(make, indices) => indices.for_each(|i| check(i, make(i))),
+            Chunk::Built(fns) => fns.into_iter().for_each(|(i, f)| check(i, f)),
+        }
+    }
+}
+
+/// A bounded single-producer hand-off queue: the pulling thread
 /// blocks once `cap` chunks are in flight, workers block while it is
 /// empty, and [`HandoffQueue::close`] drains the remainder and then
 /// releases everyone. Bounding the queue keeps a fast generator from
@@ -834,23 +812,32 @@ impl<T> HandoffQueue<T> {
         }
     }
 
-    /// Blocks until there is room, then enqueues. Producer-side only;
-    /// never called after [`HandoffQueue::close`].
-    fn push(&self, item: T) {
+    /// Blocks until there is room, then enqueues. Producer-side only.
+    /// Returns `false` (dropping `item`) once the queue is closed: a
+    /// worker that panicked closed it, and nobody may be left to pop.
+    fn push(&self, item: T) -> bool {
         let mut st = self.state.lock().expect("queue poisoned");
-        while st.items.len() >= self.cap {
+        while st.items.len() >= self.cap && !st.closed {
             st = self.not_full.wait(st).expect("queue poisoned");
+        }
+        if st.closed {
+            return false;
         }
         st.items.push_back(item);
         drop(st);
         self.not_empty.notify_one();
+        true
     }
 
     /// Marks the stream complete: blocked poppers drain what is left
-    /// and then observe the close.
+    /// and then observe the close, and a blocked pusher gives up. Runs
+    /// while a worker unwinds too, so it must not panic.
     fn close(&self) {
-        self.state.lock().expect("queue poisoned").closed = true;
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.closed = true;
+        drop(st);
         self.not_empty.notify_all();
+        self.not_full.notify_all();
     }
 
     /// Blocks for the next chunk; `None` once the queue is closed and
@@ -871,14 +858,13 @@ impl<T> HandoffQueue<T> {
     }
 }
 
-/// One worker's share of the report, merged after the join.
-#[derive(Default)]
-struct Partial {
-    total: usize,
-    changed: usize,
-    refined: usize,
-    inconclusive: usize,
-    violations: Vec<Violation>,
+/// Closes the queue when dropped.
+struct CloseOnDrop<'q, T>(&'q HandoffQueue<T>);
+
+impl<T> Drop for CloseOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// Shared atomics behind the live [`Progress`] snapshots.
@@ -889,7 +875,6 @@ struct LiveCounters {
     refined: AtomicUsize,
     violations: AtomicUsize,
     inconclusive: AtomicUsize,
-    _pad: AtomicU64,
 }
 
 impl LiveCounters {
@@ -1087,35 +1072,16 @@ mod tests {
     }
 
     #[test]
-    fn rewound_cursor_skips_already_checked_functions() {
-        // A checkpoint whose cursor is rewound to the start but whose
-        // dedup set is intact models overlapping cross-process shards:
-        // the sweep walks the space again but re-checks nothing.
-        let cfg = tiny_undef_cfg();
-        let opts = CheckOptions::new(Semantics::legacy_gvn());
-        let (full, cp) = Campaign::with_options(opts).with_workers(1).run_exhaustive(
-            &cfg,
-            None,
-            legacy_transform(),
-        );
-        let rewound = CampaignCheckpoint {
-            cursor: Vec::new(),
-            counter: 0,
-            done: false,
-            ..cp.clone()
-        };
-        let rewound = CampaignCheckpoint {
-            cursor: ExhaustiveFunctions::new(cfg.clone()).cursor().0,
-            ..rewound
-        };
-        let (again, cp2) = Campaign::with_options(opts).with_workers(1).run_exhaustive(
-            &cfg,
-            Some(&rewound),
-            legacy_transform(),
-        );
-        assert_same_verdicts(&full, &again);
-        assert_eq!(cp2.dedup_skips, cp.dedup_skips + full.total);
-        assert_eq!(cp2.seen, cp.seen);
+    #[should_panic(expected = "validation worker panicked")]
+    fn a_panicking_transform_fails_the_campaign_instead_of_hanging_it() {
+        // Both workers die on their first chunk while the pulling
+        // thread still has chunks to hand out.
+        Campaign::new(Semantics::proposed())
+            .with_workers(2)
+            .with_shard_size(1)
+            .run_random(&GenConfig::arithmetic(1), 1, 100, |_m| {
+                panic!("transform bug")
+            });
     }
 
     #[test]

@@ -10,48 +10,41 @@
 //! * the **cumulative verdicts** — tallies plus every
 //!   [`Violation`] found so far, so the final report of an interrupted
 //!   and resumed sweep is byte-identical to an uninterrupted one;
-//! * the **dedup set** — compact [`KeyDigest`] fingerprints of every
-//!   function already checked (128 bits each instead of a full
-//!   [`FunctionKey`] word encoding), so structural duplicates are
-//!   skipped exactly once per sweep even across process boundaries,
-//!   at bounded memory;
 //! * the **shard identity** — which residue class of a `K`-process
 //!   campaign this checkpoint belongs to, so
 //!   [`CampaignCheckpoint::merge`] can refuse to combine mismatched or
 //!   incomplete shard sets.
 //!
+//! The odometer never revisits a structure and residue-class shards
+//! are disjoint, so the checkpoint needs no record of *which*
+//! functions were checked: its size is O(cursor + violations), not
+//! O(space).
+//!
 //! ## JSONL schema (the checkpoint contract)
 //!
 //! One JSON object per line, discriminated by `"kind"`:
 //!
-//! * line 1 — the header: `kind:"checkpoint"`, `version:2`, the cursor
+//! * line 1 — the header: `kind:"checkpoint"`, `version:3`, the cursor
 //!   (`cursor`/`counter`/`done`), the shard identity
 //!   (`shards`/`shard_id`), the tallies
-//!   (`total`/`changed`/`refined`/`inconclusive`/`dedup_skips`), the
-//!   peak dedup-set size (`seen_peak`), and the expected body line
-//!   counts (`violations`/`seen`);
+//!   (`total`/`changed`/`refined`/`inconclusive`), and the number of
+//!   violation lines that follow (`violations`). `counter` is a
+//!   decimal string, since JSON numbers cannot hold a full `u64`;
 //! * `kind:"violation"` — one per recorded violation, carrying
-//!   `index`/`before`/`after`/`counterexample`;
-//! * `kind:"seen"` — one per dedup-set entry, carrying `digest` (the
-//!   two `u64` halves of a [`KeyDigest`] rendered as decimal strings,
-//!   since JSON numbers cannot hold a full `u64`).
+//!   `index`/`before`/`after`/`counterexample`.
 //!
-//! Version-1 artifacts (whose `seen` lines carry the fingerprint's raw
-//! `words` and whose header lacks the shard fields) still load: the
-//! words are re-digested and the shard identity defaults to the
-//! single-process `1/0`.
-//!
-//! [`CampaignCheckpoint::from_jsonl`] validates the artifact with the
-//! same hand-rolled byte-level parser pattern as
-//! `frost_telemetry::validate_jsonl`: every line must parse as a flat
-//! object, carry its kind's required keys, and the body counts must
-//! match the header — errors name the first offending line.
+//! [`CampaignCheckpoint::from_jsonl`] reads lines with the shared
+//! `frost_telemetry::json` parser and validates them: every line must
+//! be a flat object carrying its kind's required keys, the header must
+//! be version 3 (older artifacts are refused with their version named),
+//! and the violation count must match the header — errors name the
+//! first offending line.
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use frost_ir::{FunctionKey, KeyDigest};
+use frost_telemetry::json;
 
 use crate::validate::Violation;
 
@@ -75,7 +68,7 @@ pub struct CampaignCheckpoint {
     /// Which residue class (`position % shards`) this checkpoint
     /// covers.
     pub shard_id: usize,
-    /// Functions checked so far (after dedup).
+    /// Functions checked so far.
     pub total: usize,
     /// Functions the transform changed, so far.
     pub changed: usize,
@@ -83,18 +76,8 @@ pub struct CampaignCheckpoint {
     pub refined: usize,
     /// Inconclusive checks, so far.
     pub inconclusive: usize,
-    /// Structural duplicates skipped by the dedup set, so far.
-    pub dedup_skips: usize,
-    /// Largest size the in-memory dedup set reached (for a merged
-    /// checkpoint: the sum over shards — the campaign's aggregate
-    /// memory bound, since shards run concurrently).
-    pub seen_peak: usize,
     /// Every violation found so far, sorted by corpus index.
     pub violations: Vec<Violation>,
-    /// The dedup set: compact digests of every function checked so
-    /// far, sorted (order carries no meaning; sorting makes equal sets
-    /// byte-identical on disk).
-    pub seen: Vec<KeyDigest>,
 }
 
 impl Default for CampaignCheckpoint {
@@ -109,47 +92,24 @@ impl Default for CampaignCheckpoint {
             changed: 0,
             refined: 0,
             inconclusive: 0,
-            dedup_skips: 0,
-            seen_peak: 0,
             violations: Vec::new(),
-            seen: Vec::new(),
-        }
-    }
-}
-
-fn escape_json(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }
 
 impl CampaignCheckpoint {
-    /// Renders the checkpoint as JSONL (header, violations, seen
-    /// digests).
+    /// The checkpoint format version this build writes and reads.
+    pub const VERSION: u64 = 3;
+
+    /// Renders the checkpoint as JSONL (header, then violations).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(128 + self.seen.len() * 48);
-        let _ = write!(out, "{{\"kind\":\"checkpoint\",\"version\":2,\"cursor\":[");
-        for (i, ix) in self.cursor.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{ix}");
-        }
-        let _ = writeln!(
-            out,
-            "],\"counter\":\"{}\",\"done\":{},\"shards\":{},\"shard_id\":{},\"total\":{},\
-             \"changed\":{},\"refined\":{},\"inconclusive\":{},\"dedup_skips\":{},\
-             \"seen_peak\":{},\"violations\":{},\"seen\":{}}}",
+        let cursor: Vec<String> = self.cursor.iter().map(usize::to_string).collect();
+        let mut out = format!(
+            "{{\"kind\":\"checkpoint\",\"version\":{},\"cursor\":[{}],\"counter\":\"{}\",\
+             \"done\":{},\"shards\":{},\"shard_id\":{},\"total\":{},\"changed\":{},\
+             \"refined\":{},\"inconclusive\":{},\"violations\":{}}}\n",
+            Self::VERSION,
+            cursor.join(","),
             self.counter,
             self.done,
             self.shards,
@@ -158,10 +118,7 @@ impl CampaignCheckpoint {
             self.changed,
             self.refined,
             self.inconclusive,
-            self.dedup_skips,
-            self.seen_peak,
             self.violations.len(),
-            self.seen.len(),
         );
         for v in &self.violations {
             let _ = write!(
@@ -169,19 +126,12 @@ impl CampaignCheckpoint {
                 "{{\"kind\":\"violation\",\"index\":{},\"before\":\"",
                 v.index
             );
-            escape_json(&mut out, &v.before);
+            json::escape(&mut out, &v.before);
             out.push_str("\",\"after\":\"");
-            escape_json(&mut out, &v.after);
+            json::escape(&mut out, &v.after);
             out.push_str("\",\"counterexample\":\"");
-            escape_json(&mut out, &v.counterexample);
+            json::escape(&mut out, &v.counterexample);
             out.push_str("\"}\n");
-        }
-        for d in &self.seen {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"seen\",\"digest\":[\"{}\",\"{}\"]}}",
-                d.hash, d.verify
-            );
         }
         out
     }
@@ -192,114 +142,67 @@ impl CampaignCheckpoint {
     ///
     /// Returns a message naming the first offending line and why it is
     /// malformed: bad JSON, a missing or mistyped key, an unknown
-    /// `kind`, or body line counts that disagree with the header.
+    /// `kind`, a header of another format version, or a violation
+    /// count that disagrees with the header.
     pub fn from_jsonl(text: &str) -> Result<CampaignCheckpoint, String> {
-        let mut cp = CampaignCheckpoint::default();
-        let (mut want_violations, mut want_seen) = (0usize, 0usize);
-        let mut saw_header = false;
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let n = lineno + 1;
-            let mut p = Parser::new(line);
-            let obj = p.object().map_err(|e| format!("line {n}: {e}"))?;
-            p.skip_ws();
-            if !p.at_end() {
-                return Err(format!("line {n}: trailing garbage"));
-            }
-            let kind = obj.get_str("kind", n)?;
-            match kind.as_str() {
+        let mut header: Option<(CampaignCheckpoint, u64)> = None;
+        json::for_each_line(text, |obj| {
+            let size = |key: &str| {
+                usize::try_from(obj.u64(key)?).map_err(|_| format!("'{key}' overflows usize"))
+            };
+            match obj.str("kind")? {
                 "checkpoint" => {
-                    if saw_header {
-                        return Err(format!("line {n}: duplicate header"));
+                    if header.is_some() {
+                        return Err("duplicate header".into());
                     }
-                    saw_header = true;
-                    let version = obj.get_u64("version", n)?;
-                    if !(1..=2).contains(&version) {
-                        return Err(format!("line {n}: unsupported version {version}"));
+                    let version = obj.u64("version")?;
+                    if version != Self::VERSION {
+                        return Err(format!(
+                            "unsupported checkpoint version {version} (this build reads \
+                             version {})",
+                            Self::VERSION
+                        ));
                     }
-                    cp.cursor = obj
-                        .get_array("cursor", n)?
-                        .iter()
-                        .map(|v| v.as_u64(n).map(|w| w as usize))
-                        .collect::<Result<_, _>>()?;
-                    cp.counter = obj.get_u64("counter", n)?;
-                    cp.done = obj.get_bool("done", n)?;
-                    if version >= 2 {
-                        cp.shards = obj.get_u64("shards", n)? as usize;
-                        cp.shard_id = obj.get_u64("shard_id", n)? as usize;
-                        cp.seen_peak = obj.get_u64("seen_peak", n)? as usize;
-                        if cp.shards == 0 || cp.shard_id >= cp.shards {
-                            return Err(format!(
-                                "line {n}: shard {}/{} out of range",
-                                cp.shard_id, cp.shards
-                            ));
-                        }
+                    let cursor = obj.array("cursor")?.iter();
+                    let cp = CampaignCheckpoint {
+                        cursor: (cursor.map(|v| v.as_u64().and_then(|w| w.try_into().ok())))
+                            .collect::<Option<_>>()
+                            .ok_or("cursor holds a non-index")?,
+                        counter: obj.u64("counter")?,
+                        done: obj.bool("done")?,
+                        shards: size("shards")?,
+                        shard_id: size("shard_id")?,
+                        total: size("total")?,
+                        changed: size("changed")?,
+                        refined: size("refined")?,
+                        inconclusive: size("inconclusive")?,
+                        violations: Vec::new(),
+                    };
+                    if cp.shards == 0 || cp.shard_id >= cp.shards {
+                        return Err(format!("shard {}/{} out of range", cp.shard_id, cp.shards));
                     }
-                    cp.total = obj.get_u64("total", n)? as usize;
-                    cp.changed = obj.get_u64("changed", n)? as usize;
-                    cp.refined = obj.get_u64("refined", n)? as usize;
-                    cp.inconclusive = obj.get_u64("inconclusive", n)? as usize;
-                    cp.dedup_skips = obj.get_u64("dedup_skips", n)? as usize;
-                    want_violations = obj.get_u64("violations", n)? as usize;
-                    want_seen = obj.get_u64("seen", n)? as usize;
+                    header = Some((cp, obj.u64("violations")?));
                 }
                 "violation" => {
-                    if !saw_header {
-                        return Err(format!("line {n}: violation before header"));
-                    }
+                    let Some((cp, _)) = header.as_mut() else {
+                        return Err("violation before header".into());
+                    };
                     cp.violations.push(Violation {
-                        index: obj.get_u64("index", n)? as usize,
-                        before: obj.get_str("before", n)?,
-                        after: obj.get_str("after", n)?,
-                        counterexample: obj.get_str("counterexample", n)?,
+                        index: size("index")?,
+                        before: obj.str("before")?.to_owned(),
+                        after: obj.str("after")?.to_owned(),
+                        counterexample: obj.str("counterexample")?.to_owned(),
                     });
                 }
-                "seen" => {
-                    if !saw_header {
-                        return Err(format!("line {n}: seen key before header"));
-                    }
-                    if obj.get("digest").is_some() {
-                        let halves = obj
-                            .get_array("digest", n)?
-                            .iter()
-                            .map(|v| v.as_u64(n))
-                            .collect::<Result<Vec<u64>, _>>()?;
-                        let [hash, verify] = halves[..] else {
-                            return Err(format!(
-                                "line {n}: digest needs exactly 2 halves, got {}",
-                                halves.len()
-                            ));
-                        };
-                        cp.seen.push(KeyDigest { hash, verify });
-                    } else {
-                        // Version-1 artifacts carry raw fingerprint
-                        // words; re-digest them on the way in.
-                        let words = obj
-                            .get_array("words", n)?
-                            .iter()
-                            .map(|v| v.as_u64(n))
-                            .collect::<Result<Vec<u64>, _>>()?;
-                        cp.seen.push(FunctionKey::from_words(words).digest());
-                    }
-                }
-                other => return Err(format!("line {n}: unknown kind '{other}'")),
+                other => return Err(format!("unknown kind '{other}'")),
             }
-        }
-        if !saw_header {
-            return Err("missing checkpoint header".into());
-        }
-        if cp.violations.len() != want_violations {
+            Ok(())
+        })?;
+        let (cp, want) = header.ok_or("missing checkpoint header")?;
+        if cp.violations.len() as u64 != want {
             return Err(format!(
-                "header promises {want_violations} violations, found {}",
+                "header promises {want} violations, found {}",
                 cp.violations.len()
-            ));
-        }
-        if cp.seen.len() != want_seen {
-            return Err(format!(
-                "header promises {want_seen} seen keys, found {}",
-                cp.seen.len()
             ));
         }
         Ok(cp)
@@ -333,10 +236,8 @@ impl CampaignCheckpoint {
 
     /// Merges the per-shard checkpoints of a `K`-process campaign into
     /// one whole-space summary: tallies sum, violations concatenate
-    /// and re-sort by corpus index, the dedup sets union, and
-    /// `seen_peak` sums (shards run concurrently, so the campaign's
-    /// aggregate memory bound is the sum of per-process peaks). The
-    /// result is marked `shards: 1, shard_id: 0` and is `done` only
+    /// and re-sort by corpus index, and the cursor comes from the
+    /// furthest-advanced part. The result is marked `shards: 1, shard_id: 0` and is `done` only
     /// when every shard is — a finished merge is byte-identical to the
     /// checkpoint of a single-process sweep of the same space.
     ///
@@ -386,262 +287,10 @@ impl CampaignCheckpoint {
             merged.changed += p.changed;
             merged.refined += p.refined;
             merged.inconclusive += p.inconclusive;
-            merged.dedup_skips += p.dedup_skips;
-            merged.seen_peak += p.seen_peak;
             merged.violations.extend(p.violations.iter().cloned());
-            merged.seen.extend(p.seen.iter().copied());
         }
         merged.violations.sort_by_key(|v| v.index);
-        merged.seen.sort_unstable();
-        merged.seen.dedup();
         Ok(merged)
-    }
-}
-
-/// One parsed value from a checkpoint line. `u64`s are carried as
-/// decimal strings on the wire (JSON numbers are doubles), so
-/// [`JsonValue::as_u64`] accepts both forms.
-#[derive(Clone, Debug, PartialEq)]
-enum JsonValue {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Array(Vec<JsonValue>),
-}
-
-impl JsonValue {
-    fn as_u64(&self, lineno: usize) -> Result<u64, String> {
-        match self {
-            JsonValue::Str(s) => s
-                .parse::<u64>()
-                .map_err(|_| format!("line {lineno}: '{s}' is not a u64")),
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Ok(*n as u64)
-            }
-            other => Err(format!("line {lineno}: {other:?} is not a u64")),
-        }
-    }
-}
-
-/// The parsed object of one line, with per-key typed accessors that
-/// blame the line on failure.
-struct LineObject(Vec<(String, JsonValue)>);
-
-impl LineObject {
-    fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn get_str(&self, key: &str, lineno: usize) -> Result<String, String> {
-        match self.get(key) {
-            Some(JsonValue::Str(s)) => Ok(s.clone()),
-            _ => Err(format!("line {lineno}: missing string key '{key}'")),
-        }
-    }
-
-    fn get_u64(&self, key: &str, lineno: usize) -> Result<u64, String> {
-        self.get(key)
-            .ok_or(format!("line {lineno}: missing key '{key}'"))?
-            .as_u64(lineno)
-    }
-
-    fn get_bool(&self, key: &str, lineno: usize) -> Result<bool, String> {
-        match self.get(key) {
-            Some(JsonValue::Bool(b)) => Ok(*b),
-            _ => Err(format!("line {lineno}: missing bool key '{key}'")),
-        }
-    }
-
-    fn get_array(&self, key: &str, lineno: usize) -> Result<&[JsonValue], String> {
-        match self.get(key) {
-            Some(JsonValue::Array(a)) => Ok(a),
-            _ => Err(format!("line {lineno}: missing array key '{key}'")),
-        }
-    }
-}
-
-/// Byte-level JSON-line parser (same pattern as the telemetry artifact
-/// validator): just enough JSON for the schema above, with byte-offset
-/// error messages.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the raw bytes through.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                self.pos += 1;
-                while self.bytes.get(self.pos).is_some_and(|b| {
-                    b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-')
-                }) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-                text.parse::<f64>()
-                    .map(JsonValue::Num)
-                    .map_err(|_| format!("bad number '{text}'"))
-            }
-            other => Err(format!("unexpected value start {other:?}")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("expected '{lit}' at byte {}", self.pos))
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(out));
-        }
-        loop {
-            out.push(self.value()?);
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(out));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<LineObject, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(LineObject(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(LineObject(fields));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        b if b < 0x80 => 1,
-        b if b >= 0xf0 => 4,
-        b if b >= 0xe0 => 3,
-        _ => 2,
     }
 }
 
@@ -650,7 +299,6 @@ mod tests {
     use super::*;
 
     fn sample() -> CampaignCheckpoint {
-        let key = FunctionKey::from_words(vec![3, u64::MAX, 0x1234_5678_9abc_def0]);
         CampaignCheckpoint {
             cursor: vec![12, 0, 345],
             counter: u64::MAX - 7,
@@ -661,15 +309,12 @@ mod tests {
             changed: 40,
             refined: 97,
             inconclusive: 1,
-            dedup_skips: 5,
-            seen_peak: 2,
             violations: vec![Violation {
                 index: 41,
                 before: "define i2 @fz41() {\n  \"quoted\" \\ tab\t\n}".into(),
                 after: "define i2 @fz41() {}".into(),
                 counterexample: "args (0, poison): src ret 1, tgt UB".into(),
             }],
-            seen: vec![key.digest(), FunctionKey::from_words(vec![]).digest()],
         }
     }
 
@@ -679,29 +324,9 @@ mod tests {
         let text = cp.to_jsonl();
         let back = CampaignCheckpoint::from_jsonl(&text).expect("round trip validates");
         assert_eq!(back, cp);
-        // u64 digest halves survive even above 2^53 (carried as
-        // strings).
-        assert_eq!(
-            back.seen[0],
-            FunctionKey::from_words(vec![3, u64::MAX, 0x1234_5678_9abc_def0]).digest()
-        );
+        // The u64 counter survives above 2^53 (carried as a string).
         assert_eq!(back.counter, u64::MAX - 7);
         assert_eq!((back.shards, back.shard_id), (4, 2));
-    }
-
-    #[test]
-    fn version_1_artifacts_still_load() {
-        // A pre-sharding checkpoint: no shard fields, no seen_peak,
-        // and `seen` lines carrying raw fingerprint words.
-        let key = FunctionKey::from_words(vec![7, 9]);
-        let text = "{\"kind\":\"checkpoint\",\"version\":1,\"cursor\":[1,2],\"counter\":\"3\",\
-                    \"done\":false,\"total\":2,\"changed\":1,\"refined\":2,\"inconclusive\":0,\
-                    \"dedup_skips\":0,\"violations\":0,\"seen\":1}\n\
-                    {\"kind\":\"seen\",\"words\":[\"7\",\"9\"]}\n";
-        let cp = CampaignCheckpoint::from_jsonl(text).expect("v1 loads");
-        assert_eq!((cp.shards, cp.shard_id, cp.seen_peak), (1, 0, 0));
-        assert_eq!(cp.seen, vec![key.digest()]);
-        assert_eq!(cp.total, 2);
     }
 
     #[test]
@@ -722,16 +347,17 @@ mod tests {
             CampaignCheckpoint::from_jsonl("not json\n").is_err(),
             "bad line"
         );
+        let violation = sample().to_jsonl().lines().nth(1).unwrap().to_owned();
         assert!(
-            CampaignCheckpoint::from_jsonl("{\"kind\":\"seen\",\"words\":[]}\n").is_err(),
+            CampaignCheckpoint::from_jsonl(&violation).is_err(),
             "body before header"
         );
         let mut text = sample().to_jsonl();
-        text.push_str("{\"kind\":\"seen\",\"words\":[\"1\"]}\n");
+        text.push_str(&violation);
         assert!(
             CampaignCheckpoint::from_jsonl(&text)
                 .unwrap_err()
-                .contains("seen keys"),
+                .contains("violations"),
             "count mismatch is caught"
         );
         let trailing = sample()
@@ -743,10 +369,14 @@ mod tests {
     #[test]
     fn unknown_kinds_and_versions_are_rejected() {
         let base = sample();
-        let future = base.to_jsonl().replace("\"version\":2", "\"version\":9");
-        assert!(CampaignCheckpoint::from_jsonl(&future)
-            .unwrap_err()
-            .contains("version"));
+        // Versions 1 and 2 carried a structural dedup set; they are
+        // refused by number, like a future version.
+        for version in [1, 2, 9] {
+            let other =
+                (base.to_jsonl()).replace("\"version\":3", &format!("\"version\":{version}"));
+            let err = CampaignCheckpoint::from_jsonl(&other).unwrap_err();
+            assert!(err.contains(&format!("version {version}")), "{err}");
+        }
         let mut text = base.to_jsonl();
         text.push_str("{\"kind\":\"mystery\"}\n");
         assert!(CampaignCheckpoint::from_jsonl(&text)
@@ -755,7 +385,6 @@ mod tests {
     }
 
     fn shard_part(shards: usize, shard_id: usize) -> CampaignCheckpoint {
-        let d = |w: u64| FunctionKey::from_words(vec![w]).digest();
         CampaignCheckpoint {
             cursor: vec![shard_id],
             counter: 10 + shard_id as u64,
@@ -766,15 +395,12 @@ mod tests {
             changed: 2,
             refined: 4,
             inconclusive: 1,
-            dedup_skips: shard_id,
-            seen_peak: 5,
             violations: vec![Violation {
                 index: 100 - shard_id,
                 before: String::new(),
                 after: String::new(),
                 counterexample: String::new(),
             }],
-            seen: vec![d(shard_id as u64), d(99)],
         }
     }
 
@@ -786,14 +412,10 @@ mod tests {
         assert!(m.done);
         assert_eq!(m.total, 10);
         assert_eq!(m.changed, 4);
-        assert_eq!(m.dedup_skips, 1);
-        assert_eq!(m.seen_peak, 10, "peaks sum across concurrent shards");
-        // Violations re-sorted by corpus index regardless of part
-        // order.
+        // Violations union and re-sort by corpus index regardless of
+        // part order.
         let idx: Vec<usize> = m.violations.iter().map(|v| v.index).collect();
         assert_eq!(idx, vec![99, 100]);
-        // The shared digest `d(99)` appears once in the union.
-        assert_eq!(m.seen.len(), 3);
         // Cursor comes from the furthest-advanced shard.
         assert_eq!(m.counter, 11);
         assert_eq!(m.cursor, vec![1]);

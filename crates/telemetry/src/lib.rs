@@ -1,7 +1,7 @@
 //! # frost-telemetry
 //!
 //! The observability layer of the frost workspace: one zero-dependency
-//! crate through which every component reports cost. It has three
+//! crate through which every component reports cost. It has four
 //! pieces, each usable alone:
 //!
 //! * **[`trace`]** — a structured-event tracing facade: RAII spans
@@ -19,6 +19,10 @@
 //!   events, an env-var-directed [`flush_env`] (`FROST_TRACE_FILE`),
 //!   and [`validate_jsonl`], which checks a `telemetry.jsonl` artifact
 //!   against the schema and aggregates per-span totals.
+//! * **[`json`]** — the one JSON string escaper and flat-object line
+//!   parser: the trace and checkpoint writers escape with it, and every
+//!   artifact reader (traces, bench records, campaign checkpoints)
+//!   parses with it.
 //!
 //! The full telemetry contract — event schema, naming conventions,
 //! env vars, overhead budget — is documented in `docs/OBSERVABILITY.md`
@@ -54,6 +58,7 @@
 #![warn(missing_docs)]
 
 pub mod counters;
+pub mod json;
 pub mod sink;
 pub mod trace;
 

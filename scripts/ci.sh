@@ -129,9 +129,11 @@ echo "==> 3-inst sharded sweep slice + merge smoke (bounded)"
 # coordinator merges the checkpoints. The merged summary must be
 # byte-identical to a single-process sweep of the same 2N-function
 # prefix — the union-equals-whole guarantee the campaign tests prove,
-# exercised end-to-end through the CLI. Stays well inside the
-# 10-minute parachute (~1 s of checking per leg at measured rates).
-rm -f sweep-shard0.jsonl sweep-shard1.jsonl sweep-merged.jsonl
+# exercised end-to-end through the CLI — and so is the merged
+# checkpoint artifact itself, compared byte-for-byte with the
+# single-process run's. Stays well inside the 10-minute parachute
+# (~1 s of checking per leg at measured rates).
+rm -f sweep-shard0.jsonl sweep-shard1.jsonl sweep-merged.jsonl sweep-single3.jsonl
 cargo run -q --release -p frost-bench --bin repro -- \
     --experiment sweep --insts 3 --prune --budget 20000 \
     --shards 2 --shard-id 0 --checkpoint sweep-shard0.jsonl >/dev/null
@@ -144,13 +146,18 @@ cargo run -q --release -p frost-bench --bin repro -- \
     | grep "^sweep:" > sweep-merged.out
 cargo run -q --release -p frost-bench --bin repro -- \
     --experiment sweep --insts 3 --prune --budget 40000 \
+    --checkpoint sweep-single3.jsonl \
     | grep "^sweep:" > sweep-single3.out
 cmp sweep-merged.out sweep-single3.out || {
     echo "ci: merged 2-shard sweep diverges from single-process reference" >&2
     diff sweep-merged.out sweep-single3.out >&2 || true
     exit 1
 }
-rm -f sweep-shard0.jsonl sweep-shard1.jsonl sweep-merged.jsonl \
+cmp sweep-merged.jsonl sweep-single3.jsonl || {
+    echo "ci: merged 2-shard checkpoint diverges from single-process checkpoint" >&2
+    exit 1
+}
+rm -f sweep-shard0.jsonl sweep-shard1.jsonl sweep-merged.jsonl sweep-single3.jsonl \
     sweep-merged.out sweep-single3.out
 
 echo "==> textual IR roundtrip fidelity (full §6 corpus + 10k fuzz sample)"
@@ -196,10 +203,10 @@ rm -f input-ci.out
 
 echo "==> checkpoint kill/resume determinism smoke"
 # Interrupt a small sweep mid-flight with a tight budget, resume it
-# from the checkpoint, and require the final summary to be identical
-# to a single uninterrupted run (the summary excludes wall-clock
-# columns by construction).
-rm -f sweep-resume.jsonl
+# from the checkpoint, and require the final summary and the final
+# checkpoint to be identical to a single uninterrupted run's (neither
+# carries wall-clock columns).
+rm -f sweep-resume.jsonl sweep-oneshot.jsonl
 cargo run -q --release -p frost-bench --bin repro -- \
     --experiment sweep --insts 1 --budget 100 --checkpoint sweep-resume.jsonl \
     >/dev/null
@@ -211,13 +218,18 @@ cargo run -q --release -p frost-bench --bin repro -- \
     --experiment sweep --insts 1 --checkpoint sweep-resume.jsonl \
     | grep "^sweep:" > sweep-resumed.out
 cargo run -q --release -p frost-bench --bin repro -- \
-    --experiment sweep --insts 1 \
+    --experiment sweep --insts 1 --checkpoint sweep-oneshot.jsonl \
     | grep "^sweep:" > sweep-oneshot.out
 cmp sweep-resumed.out sweep-oneshot.out || {
     echo "ci: resumed sweep diverges from uninterrupted run" >&2
     diff sweep-resumed.out sweep-oneshot.out >&2 || true
     exit 1
 }
-rm -f sweep-ci.jsonl sweep-ci.out sweep-resume.jsonl sweep-resumed.out sweep-oneshot.out
+cmp sweep-resume.jsonl sweep-oneshot.jsonl || {
+    echo "ci: resumed checkpoint diverges from uninterrupted run's" >&2
+    exit 1
+}
+rm -f sweep-ci.jsonl sweep-ci.out sweep-resume.jsonl sweep-oneshot.jsonl \
+    sweep-resumed.out sweep-oneshot.out
 
 echo "ci: all green"

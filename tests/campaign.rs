@@ -109,6 +109,44 @@ fn cached_checker_agrees_with_fresh_over_a_corpus() {
     );
 }
 
+fn assert_same_verdicts(a: &ValidationReport, b: &ValidationReport, what: &str) {
+    assert_eq!(a.total, b.total, "{what}: total");
+    assert_eq!(a.changed, b.changed, "{what}: changed");
+    assert_eq!(a.refined, b.refined, "{what}: refined");
+    assert_eq!(a.inconclusive, b.inconclusive, "{what}: inconclusive");
+    assert_eq!(a.violations, b.violations, "{what}: violations");
+}
+
+/// The three sources feed one driver, so a corpus reaches the same
+/// verdicts whichever way it arrives: the odometer source equals the
+/// same enumeration handed in as an iterator, and the index source
+/// (workers generate from indices) equals the materialized random
+/// corpus — at 1, 2 and 8 workers.
+#[test]
+fn every_source_reaches_the_same_verdicts_at_1_2_8_workers() {
+    let cfg = violating_cfg(2);
+    let (seed, count) = (0x5EED, 300);
+    for workers in [1, 2, 8] {
+        let campaign = || {
+            Campaign::new(Semantics::legacy_gvn())
+                .with_workers(workers)
+                .with_shard_size(7)
+        };
+        let listed = campaign().run(enumerate_functions(cfg.clone()), legacy_instcombine);
+        let (walked, cp) = campaign().run_exhaustive(&cfg, None, legacy_instcombine);
+        assert!(cp.done && !listed.is_clean());
+        assert_same_verdicts(&listed, &walked, &format!("exhaustive at {workers}"));
+
+        let listed = campaign().run(
+            random_functions(cfg.clone(), seed, count),
+            legacy_instcombine,
+        );
+        let indexed = campaign().run_random(&cfg, seed, count, legacy_instcombine);
+        assert!(!listed.is_clean());
+        assert_same_verdicts(&listed, &indexed, &format!("random at {workers}"));
+    }
+}
+
 /// A budget of N checks exactly the first N corpus entries: the report
 /// is the prefix of the unbudgeted run.
 #[test]
@@ -138,7 +176,7 @@ fn budget_checks_exactly_the_corpus_prefix() {
 /// A K-process sweep partitions the exhaustive space by residue class;
 /// merging the per-shard checkpoints must reproduce the single-process
 /// checkpoint **byte-for-byte** — same tallies, same violations, same
-/// dedup set, same cursor — at K=2 and K=4.
+/// cursor — at K=2 and K=4.
 #[test]
 fn sharded_sweep_union_matches_single_process_byte_for_byte() {
     let cfg = violating_cfg(2);

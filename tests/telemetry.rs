@@ -3,8 +3,8 @@
 //! 1. the always-on counters are *deterministic under parallelism* —
 //!    a campaign reports identical verdict totals whether it ran on 1,
 //!    2, or 8 workers (cache hit/miss counters and the plan-engine
-//!    tallies are explicitly excluded: two workers may race a key and
-//!    both count a miss — and both compile and run the racing entry);
+//!    tallies are explicitly excluded: they ride on the outcome-cache
+//!    miss path, whose transient probes depend on interleaving);
 //! 2. traced spans are *well-formed* — per-thread stack discipline,
 //!    every stop matches a start, and the rendered JSONL artifact
 //!    validates with zero unmatched events.
@@ -46,8 +46,9 @@ fn deterministic_counters(snap: &telemetry::Snapshot) -> BTreeMap<String, u64> {
         .iter()
         .filter(|(k, _)| {
             // `frost.core.plan.*` follows the cache counters out: plan
-            // compiles/runs happen on the outcome-cache miss path, so a
-            // raced key double-counts them too.
+            // compiles/runs happen on the outcome-cache miss path, and
+            // the plan cache is not single-flight, so two outcome keys
+            // sharing one plan key can both compile it.
             k.starts_with("frost.")
                 && !k.starts_with("frost.core.cache.")
                 && !k.starts_with("frost.core.plan.")
@@ -148,5 +149,30 @@ fn disabled_tracing_records_nothing() {
     assert!(
         telemetry::drain().is_empty(),
         "spans must be inert while tracing is off"
+    );
+}
+
+/// Every source goes through the one campaign driver, so an exhaustive
+/// sweep reports the same span shape as a sampled campaign: one
+/// `fuzz.campaign.run` with a `fuzz.campaign.shard` per chunk.
+#[test]
+fn exhaustive_sweep_emits_run_and_shard_spans() {
+    let _guard = telemetry_lock();
+    telemetry::enable(telemetry::TraceFormat::Jsonl);
+    telemetry::drain();
+    let (report, cp) = Campaign::new(Semantics::proposed())
+        .with_workers(2)
+        .with_shard_size(100)
+        .run_exhaustive(&GenConfig::arithmetic(1), None, |_m| {});
+    telemetry::disable();
+    let events = telemetry::drain();
+    assert!(report.is_clean() && cp.done, "{report}");
+    let stats = telemetry::validate_jsonl(&telemetry::render_jsonl(&events)).expect("valid JSONL");
+    assert_eq!(stats.unmatched, 0);
+    assert_eq!(stats.by_key["fuzz.campaign.run"].count, 1);
+    assert_eq!(
+        stats.by_key["fuzz.campaign.shard"].count,
+        report.total.div_ceil(100) as u64,
+        "one shard span per chunk"
     );
 }
