@@ -33,7 +33,8 @@
 //! Observability (see docs/OBSERVABILITY.md): `--trace` records every
 //! span of the run, writes the JSONL artifact to `telemetry.jsonl` (or
 //! `$FROST_TRACE_FILE`), validates it, and prints a top-k profile
-//! table. `--counters` prints the counter deltas the run produced.
+//! table. `--counters` prints the counter deltas the run produced (for a
+//! sweep, those of the checking pass, as in its `--bench-json` record).
 //! `--validate-trace FILE` checks an existing artifact against the
 //! schema and exits (0 valid, 1 malformed). The `FROST_TRACE` env var
 //! also enables tracing, for processes whose flags you don't control.
@@ -275,6 +276,9 @@ fn main() {
         frost_telemetry::drain();
     }
     let before = counters.then(frost_telemetry::snapshot);
+    // A sweep meters its own pass — the window its bench record
+    // reports — and `--counters` prints that same window.
+    let mut pass_delta: Option<frost_telemetry::Snapshot> = None;
 
     let mut matched = false;
     let mut run = |name: &str| -> bool {
@@ -324,6 +328,10 @@ fn main() {
                 mem,
                 guards,
             )
+            .map(|(table, summary, delta)| {
+                pass_delta = Some(delta);
+                (table, summary)
+            })
         } else {
             experiments::sweep_merge(&merge, checkpoint.as_deref().map(std::path::Path::new))
         };
@@ -362,10 +370,8 @@ fn main() {
     }
 
     if let Some(before) = before {
-        println!(
-            "{}",
-            counters_table(&frost_telemetry::snapshot().delta(&before))
-        );
+        let delta = pass_delta.unwrap_or_else(|| frost_telemetry::snapshot().delta(&before));
+        println!("{}", counters_table(&delta));
     }
     if trace {
         let events = frost_telemetry::drain();

@@ -348,10 +348,11 @@ pub fn optfuzz(budget: usize) -> Table {
 /// band (`assume-simplify` + `guard-dce`). One domain at a time —
 /// `mem` and `guards` are mutually exclusive.
 ///
-/// Returns the table plus a deterministic one-line summary (no
-/// wall-clock columns), so scripts can diff an interrupted-and-resumed
-/// sweep — or a merged `K`-shard sweep — against an uninterrupted
-/// single-process one.
+/// Returns the table, a deterministic one-line summary (no wall-clock
+/// columns), so scripts can diff an interrupted-and-resumed sweep — or
+/// a merged `K`-shard sweep — against an uninterrupted single-process
+/// one, and the counter deltas of the checking pass: the window the
+/// `bench_json` record reports, which excludes sizing the space.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep(
     num_insts: usize,
@@ -363,7 +364,7 @@ pub fn sweep(
     bench_json: Option<&Path>,
     mem: bool,
     guards: bool,
-) -> Result<(Table, String), FrostError> {
+) -> Result<(Table, String, frost_telemetry::Snapshot), FrostError> {
     if mem && prune {
         return Err(FrostError::stage(
             "config",
@@ -520,7 +521,7 @@ pub fn sweep(
         t.note("fixed-mode InstCombine over the proposed semantics must stay at 0 violations");
     }
     let summary = sweep_summary(&cp);
-    Ok((t, summary))
+    Ok((t, summary, delta))
 }
 
 /// Folds the per-shard checkpoints of a `K`-process [`sweep`] into one

@@ -45,7 +45,7 @@ use crate::ops::{eval_binop, eval_cast, eval_icmp, ScalarResult};
 use crate::outcome::{Outcome, OutcomeSet};
 use crate::plan::{FnPlan, ModulePlan, Opnd, Step};
 use crate::sem::PoisonAction;
-use crate::val::Val;
+use crate::val::{Bits, Val};
 
 /// Widest integer the backend slices: `1 << MAX_BITS` value planes.
 const MAX_BITS: u32 = 3;
@@ -57,14 +57,8 @@ const NVALS: usize = 1 << MAX_BITS;
 /// [`Engine::Auto`]: crate::engine::Engine::Auto
 const SCRIPT_CAP: u64 = 4096;
 
-/// Outcome codes accumulated across scripts. Codes `0..NVALS` are the
-/// concrete return values; the rest are below. Accumulation is itself
-/// plane-sliced: one lane-mask word per code, OR-merged per script.
-const CODE_POISON: u32 = 8;
-const CODE_UNDEF: u32 = 9;
-const CODE_UB: u32 = 10;
-const CODE_RET_VOID: u32 = 11;
-const NCODES: usize = 12;
+/// Outcome codes accumulated across scripts (see [`LaneOutcomes`]).
+const NCODES: usize = LaneOutcomes::CODES;
 
 /// One SSA value across every lane: one-hot value-indicator planes plus
 /// a poison plane and an undef plane. Invariant: for each live lane
@@ -228,16 +222,157 @@ fn op_weight(op: &SOp) -> u64 {
     }
 }
 
+/// Every lane's outcomes after one [`BitslicePlan::evaluate_lanes`]
+/// pass, still transposed: one lane-mask word per *outcome code*, where
+/// bit `l` of code `c`'s mask says "in lane `l` the function may end
+/// with outcome `c`". Codes `0..VALUES` are the concrete return values;
+/// [`LaneOutcomes::POISON`], [`LaneOutcomes::UNDEF`],
+/// [`LaneOutcomes::UB`] and [`LaneOutcomes::RET_VOID`] follow.
+///
+/// A dozen words stand for up to 64 [`OutcomeSet`]s, so the outcome
+/// cache stores this instead of the sets and the refinement checker
+/// compares two of them with word operations; a lane becomes an
+/// [`OutcomeSet`] only when [`LaneOutcomes::outcome_set`] is asked for
+/// it (a counterexample, or a caller of [`BitslicePlan::evaluate`]).
+#[derive(Clone, Copy, Debug)]
+pub struct LaneOutcomes {
+    masks: [u64; NCODES],
+    lanes: usize,
+    ret_bits: u32,
+}
+
+impl LaneOutcomes {
+    /// Concrete-value codes: code `v < VALUES` is "returns `v`".
+    pub const VALUES: usize = NVALS;
+    /// Code of a poison return.
+    pub const POISON: usize = NVALS;
+    /// Code of an undef return.
+    pub const UNDEF: usize = NVALS + 1;
+    /// Code of immediate undefined behavior.
+    pub const UB: usize = NVALS + 2;
+    /// Code of `ret void`.
+    pub const RET_VOID: usize = NVALS + 3;
+    /// Number of codes.
+    pub const CODES: usize = NVALS + 4;
+
+    /// The lane form of per-input results, when they fit it: at most
+    /// 64 inputs, all enumerated, and every `Ret` outcome free of calls,
+    /// returning void or an `iN` (`N = ret_bits`) value below 8, poison
+    /// or undef, with one memory snapshot shared by all of them. The
+    /// snapshot is `None` when no outcome returns. The inverse of
+    /// [`LaneOutcomes::outcome_set`], so a plan-machine result can meet
+    /// a bit-sliced one on lane masks.
+    pub(crate) fn from_sets(
+        sets: &[Result<OutcomeSet, ExecError>],
+        ret_bits: u32,
+    ) -> Option<(LaneOutcomes, Option<&Bits>)> {
+        if sets.is_empty() || sets.len() > 64 || ret_bits > MAX_BITS {
+            return None;
+        }
+        let mut masks = [0u64; NCODES];
+        let mut snap: Option<&Bits> = None;
+        for (l, set) in sets.iter().enumerate() {
+            for outcome in set.as_ref().ok()?.iter() {
+                let code = match outcome {
+                    Outcome::Ub => Self::UB,
+                    Outcome::Ret { val, mem, trace } => {
+                        if !trace.is_empty() || *snap.get_or_insert(mem) != mem {
+                            return None;
+                        }
+                        match val {
+                            None => Self::RET_VOID,
+                            Some(Val::Int { bits, v })
+                                if *bits == ret_bits && *v < NVALS as u128 =>
+                            {
+                                *v as usize
+                            }
+                            Some(Val::Poison) => Self::POISON,
+                            Some(Val::Undef(Ty::Int(bits))) if *bits == ret_bits => Self::UNDEF,
+                            Some(_) => return None,
+                        }
+                    }
+                };
+                masks[code] |= 1 << l;
+            }
+        }
+        let lanes = LaneOutcomes {
+            masks,
+            lanes: sets.len(),
+            ret_bits,
+        };
+        Some((lanes, snap))
+    }
+
+    /// The lanes that may end with outcome `code`.
+    pub fn mask(&self, code: usize) -> u64 {
+        self.masks[code]
+    }
+
+    /// Number of lanes (input tuples).
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Width of the returned integer, or `0` for a void function.
+    pub fn ret_bits(&self) -> u32 {
+        self.ret_bits
+    }
+
+    /// Lane `lane` as an [`OutcomeSet`], byte-identical to the plan
+    /// engine's set for that input tuple. `mem` is the initial-memory
+    /// snapshot every `Ret` outcome carries (eligible programs never
+    /// write memory).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn outcome_set(&self, lane: usize, mem: &Bits) -> OutcomeSet {
+        assert!(lane < self.lanes, "lane {lane} of {}", self.lanes);
+        bitslice_counters().lanes_materialized.incr();
+        let has = |code: usize| self.masks[code] >> lane & 1 == 1;
+        // Emitted in ascending `Outcome` order (`Ub < Ret`, `None <
+        // Some`, `Int < Poison < Undef`) with exact capacity, so no
+        // sorting or insertion shifting.
+        let count = self.masks.iter().filter(|m| *m >> lane & 1 == 1).count();
+        let mut outcomes = Vec::with_capacity(count);
+        if has(Self::UB) {
+            outcomes.push(Outcome::Ub);
+        }
+        let mut ret = |val: Option<Val>| {
+            outcomes.push(Outcome::Ret {
+                val,
+                mem: mem.clone(),
+                trace: Vec::new(),
+            });
+        };
+        if has(Self::RET_VOID) {
+            ret(None);
+        }
+        for v in 0..Self::VALUES {
+            if has(v) {
+                ret(Some(Val::int(self.ret_bits, v as u128)));
+            }
+        }
+        if has(Self::POISON) {
+            ret(Some(Val::Poison));
+        }
+        if has(Self::UNDEF) {
+            ret(Some(Val::Undef(Ty::Int(self.ret_bits))));
+        }
+        OutcomeSet::from_sorted(outcomes)
+    }
+}
+
 /// A function compiled to a bitplane program over a fixed input-tuple
 /// list. Build with [`BitslicePlan::compile`]; run every tuple at once
-/// with [`BitslicePlan::evaluate`].
+/// with [`BitslicePlan::evaluate_lanes`] (or [`BitslicePlan::evaluate`]
+/// for one [`OutcomeSet`] per tuple).
 pub struct BitslicePlan {
     ops: Vec<SOp>,
     /// Register-file template: parameter and constant planes filled in,
     /// instruction/scratch registers zeroed (each is written before it
     /// is read — straight-line SSA).
     regs_init: Vec<Planes>,
-    reg_bits: Vec<u32>,
     /// Choice-variable domains, in static demand order.
     vars: Vec<u64>,
     /// For each variable, the index of the (unique) op consuming it.
@@ -245,6 +380,8 @@ pub struct BitslicePlan {
     var_op: Vec<u32>,
     lanes: usize,
     ret: RetSpec,
+    /// Declared return width (`0` for void).
+    ret_bits: u32,
 }
 
 /// Always-on counters (`frost.core.bitslice.*`; see
@@ -255,6 +392,7 @@ struct BitsliceCounters {
     tuples_per_pass: &'static frost_telemetry::Counter,
     mem_rejects: &'static frost_telemetry::Counter,
     guard_rejects: &'static frost_telemetry::Counter,
+    lanes_materialized: &'static frost_telemetry::Counter,
 }
 
 fn bitslice_counters() -> &'static BitsliceCounters {
@@ -265,6 +403,7 @@ fn bitslice_counters() -> &'static BitsliceCounters {
         tuples_per_pass: frost_telemetry::counter("frost.core.bitslice.tuples_per_pass"),
         mem_rejects: frost_telemetry::counter("frost.core.bitslice.mem_rejects"),
         guard_rejects: frost_telemetry::counter("frost.core.bitslice.guard_rejects"),
+        lanes_materialized: frost_telemetry::counter("frost.core.bitslice.lanes_materialized"),
     })
 }
 
@@ -580,11 +719,11 @@ impl BitslicePlan {
         Ok(BitslicePlan {
             ops: lo.ops,
             regs_init: lo.regs_init,
-            reg_bits: lo.reg_bits,
             vars: lo.vars,
             var_op: lo.var_op,
             lanes,
             ret,
+            ret_bits: fp.ret_int_bits,
         })
     }
 
@@ -603,15 +742,27 @@ impl BitslicePlan {
     /// [`OutcomeSet`] per input tuple, in input order — byte-identical
     /// to running [`ModulePlan::enumerate`] on each tuple.
     ///
+    /// This is [`BitslicePlan::evaluate_lanes`] followed by
+    /// [`LaneOutcomes::outcome_set`] on every lane. `mem` is the initial
+    /// memory; eligible programs never touch it, so it only flows into
+    /// the returned `Ret` outcomes' snapshots.
+    pub fn evaluate(&self, mem: &Memory) -> Vec<OutcomeSet> {
+        let lanes = self.evaluate_lanes();
+        let snap = mem.snapshot();
+        (0..self.lanes)
+            .map(|l| lanes.outcome_set(l, &snap))
+            .collect()
+    }
+
+    /// Evaluates every lane under every choice script, leaving the
+    /// result as per-code lane masks.
+    ///
     /// The odometer over the joint choice domain bumps the *last*
     /// variable fastest, and the register file is checkpointed just
     /// before each choice site — machine state there depends only on
     /// earlier variables — so the common step re-executes just the ops
     /// after the final choice site instead of the whole program.
-    ///
-    /// `mem` is the initial memory; eligible programs never touch it,
-    /// so it only flows into the returned `Ret` outcomes' snapshots.
-    pub fn evaluate(&self, mem: &Memory) -> Vec<OutcomeSet> {
+    pub fn evaluate_lanes(&self) -> LaneOutcomes {
         let ctrs = bitslice_counters();
         ctrs.tuples_per_pass.add(self.lanes as u64);
 
@@ -670,7 +821,11 @@ impl BitslicePlan {
             ctrs.plane_ops.add(executed);
             seen
         });
-        self.build(&seen, mem)
+        LaneOutcomes {
+            masks: seen,
+            lanes: self.lanes,
+            ret_bits: self.ret_bits,
+        }
     }
 
     /// Executes `ops[start..]` under the current choice script, taking
@@ -832,66 +987,18 @@ impl BitslicePlan {
                 } else {
                     (1u64 << self.lanes) - 1
                 };
-                seen[CODE_RET_VOID as usize] |= live & all;
+                seen[LaneOutcomes::RET_VOID] |= live & all;
             }
             RetSpec::Reg(r) => {
                 let p = &regs[*r as usize];
                 for (v, plane) in p.val.iter().enumerate() {
                     seen[v] |= plane & live;
                 }
-                seen[CODE_POISON as usize] |= p.poison & live;
-                seen[CODE_UNDEF as usize] |= p.undef & live;
+                seen[LaneOutcomes::POISON] |= p.poison & live;
+                seen[LaneOutcomes::UNDEF] |= p.undef & live;
             }
         }
-        seen[CODE_UB as usize] |= ub;
-    }
-
-    /// Transposes the per-code lane masks into concrete
-    /// [`OutcomeSet`]s, one per lane.
-    fn build(&self, seen: &[u64; NCODES], mem: &Memory) -> Vec<OutcomeSet> {
-        let mem_snap = mem.snapshot();
-        let ret_bits = match &self.ret {
-            RetSpec::Void => 0,
-            RetSpec::Reg(r) => self.reg_bits[*r as usize],
-        };
-        (0..self.lanes)
-            .map(|l| {
-                // Gather this lane's bit from each code mask.
-                let mut s = 0u16;
-                for (c, mask) in seen.iter().enumerate() {
-                    s |= ((mask >> l & 1) as u16) << c;
-                }
-                // Emitted in ascending `Outcome` order (`Ub < Ret`,
-                // `None < Some`, `Int < Poison < Undef`) with exact
-                // capacity, so no sorting or insertion shifting.
-                let mut outcomes = Vec::with_capacity(s.count_ones() as usize);
-                if s >> CODE_UB & 1 == 1 {
-                    outcomes.push(Outcome::Ub);
-                }
-                let mut ret = |val: Option<Val>| {
-                    outcomes.push(Outcome::Ret {
-                        val,
-                        mem: mem_snap.clone(),
-                        trace: Vec::new(),
-                    });
-                };
-                if s >> CODE_RET_VOID & 1 == 1 {
-                    ret(None);
-                }
-                for v in 0..NVALS as u32 {
-                    if s >> v & 1 == 1 {
-                        ret(Some(Val::int(ret_bits, u128::from(v))));
-                    }
-                }
-                if s >> CODE_POISON & 1 == 1 {
-                    ret(Some(Val::Poison));
-                }
-                if s >> CODE_UNDEF & 1 == 1 {
-                    ret(Some(Val::Undef(Ty::Int(ret_bits))));
-                }
-                OutcomeSet::from_sorted(outcomes)
-            })
-            .collect()
+        seen[LaneOutcomes::UB] |= ub;
     }
 }
 

@@ -7,8 +7,9 @@
 //! transform leaves the target textually identical to the source, and
 //! aggressive pipelines fold thousands of distinct inputs to the same
 //! handful of canonical forms (`ret 0`, `ret %a`, …). [`OutcomeCache`]
-//! memoizes the *entire per-input outcome vector* of a function under a
-//! given semantics, so each distinct (function shape, semantics)
+//! memoizes a function's outcomes on its *entire input list* under a
+//! given semantics — as bit-sliced lane masks or as a per-input vector,
+//! see [`CacheEntry`] — so each distinct (function shape, semantics)
 //! combination is enumerated exactly once per campaign.
 //!
 //! ## Cache key
@@ -36,27 +37,93 @@
 //! fingerprints of generated IR, so the keyed DoS resistance of the
 //! default hasher buys nothing on this hot path.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use frost_ir::{FunctionKey, Module};
 
+use crate::bitslice::LaneOutcomes;
 use crate::engine::{run_compiled, Engine};
 use crate::exec::{reference, ExecError, Limits};
 use crate::fasthash::FastHashMap;
 use crate::mem::Memory;
 use crate::outcome::OutcomeSet;
-use crate::plan::PlanCache;
+use crate::plan::{ModulePlan, PlanCache};
 use crate::sem::Semantics;
-use crate::val::Val;
+use crate::val::{Bits, Val};
 
-/// The memoized result of enumerating one function on a fixed input
-/// list: one entry per input tuple, each either the outcome set or the
+/// The result of enumerating one function on a fixed input list: one
+/// entry per input tuple, each either the outcome set or the
 /// enumeration failure on that input. Keeping failures *per input*
 /// (rather than aborting the vector) lets a cached refinement check
 /// reproduce the sequential checker's verdict exactly — including
 /// which input it reports as inconclusive.
 pub type EnumeratedOutcomes = Vec<Result<OutcomeSet, ExecError>>;
+
+/// One memoized enumeration, in whichever form its engine produced,
+/// shared between the cache and its callers. Each form sits behind its
+/// own `Arc`, so a per-input entry costs what it did before lane
+/// entries existed, and a lane entry is one allocation.
+#[derive(Clone, Debug)]
+pub enum CacheEntry {
+    /// The bit-sliced engine's result, still as lane masks (lane `i` is
+    /// input `i`), with the initial-memory snapshot every `Ret` outcome
+    /// carries. Never holds a failure.
+    Lanes(Arc<(LaneOutcomes, Bits)>),
+    /// Per-input results (plan machine, reference tree-walk, or the
+    /// strict bit-slicer's refusal on every input).
+    Sets(Arc<EnumeratedOutcomes>),
+}
+
+impl CacheEntry {
+    /// The result on input `i`: borrowed from a per-input entry, built
+    /// from a lane entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> Result<Cow<'_, OutcomeSet>, &ExecError> {
+        match self {
+            CacheEntry::Lanes(l) => Ok(Cow::Owned(l.0.outcome_set(i, &l.1))),
+            CacheEntry::Sets(all) => all[i].as_ref().map(Cow::Borrowed),
+        }
+    }
+
+    /// The first input whose enumeration failed, with its error.
+    pub fn first_error(&self) -> Option<(usize, &ExecError)> {
+        match self {
+            CacheEntry::Lanes(_) => None,
+            CacheEntry::Sets(all) => all
+                .iter()
+                .enumerate()
+                .find_map(|(i, r)| r.as_ref().err().map(|e| (i, e))),
+        }
+    }
+
+    /// This entry as lane masks plus the memory snapshot its `Ret`
+    /// outcomes carry (`None` if none returns), for a function
+    /// returning `iN` (`N = ret_bits`, `0` for any other type). A lane
+    /// entry is that already; a per-input entry converts when it fits
+    /// (every `Ret` outcome free of calls, returning void or a value
+    /// the lane codes cover, with one shared memory snapshot).
+    pub fn lane_form(&self, ret_bits: u32) -> Option<(LaneOutcomes, Option<&Bits>)> {
+        match self {
+            CacheEntry::Lanes(l) => Some((l.0, Some(&l.1))),
+            CacheEntry::Sets(all) => LaneOutcomes::from_sets(all, ret_bits),
+        }
+    }
+
+    /// The per-input results, building every lane of a lane entry.
+    pub(crate) fn into_vec(self) -> EnumeratedOutcomes {
+        match self {
+            CacheEntry::Lanes(l) => (0..l.0.lanes())
+                .map(|lane| Ok(l.0.outcome_set(lane, &l.1)))
+                .collect(),
+            CacheEntry::Sets(all) => Arc::unwrap_or_clone(all),
+        }
+    }
+}
 
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
@@ -86,9 +153,15 @@ pub fn enumerate_all_inputs(
     crate::engine::enumerate_function(module, name, inputs, mem, sem, limits, Engine::Plan)
 }
 
+fn bad_function(name: &str) -> CacheEntry {
+    CacheEntry::Sets(Arc::new(vec![Err(ExecError::BadFunction(
+        name.to_string(),
+    ))]))
+}
+
 /// One table entry: filled once by the worker that first missed its
 /// key; workers that race it block in [`OnceLock::get_or_init`].
-type Slot = Arc<OnceLock<Arc<EnumeratedOutcomes>>>;
+type Slot = Arc<OnceLock<CacheEntry>>;
 
 /// A thread-safe memoization table for whole-function outcome
 /// enumeration. See the [module docs](self) for the key structure.
@@ -137,10 +210,10 @@ impl OutcomeCache {
         Some(format!("{:?}", FunctionKey::of(module.function(name)?)))
     }
 
-    /// Memoized [`enumerate_all_inputs`]. On a hit the stored vector is
-    /// returned without touching the interpreter; on a miss the
-    /// enumeration runs and the result — including failures, which are
-    /// just as expensive to rediscover — is stored.
+    /// Memoized enumeration of every input under `engine`. On a hit the
+    /// stored entry is returned without touching the interpreter; on a
+    /// miss the enumeration runs and the result — including failures,
+    /// which are just as expensive to rediscover — is stored.
     ///
     /// `salt` must fingerprint every input-shaping option that is not
     /// part of the key (input-enumeration options, memory size).
@@ -157,9 +230,9 @@ impl OutcomeCache {
         limits: Limits,
         engine: Engine,
         salt: u64,
-    ) -> Arc<EnumeratedOutcomes> {
+    ) -> CacheEntry {
         let Some(func) = module.function(name) else {
-            return Arc::new(vec![Err(ExecError::BadFunction(name.to_string()))]);
+            return bad_function(name);
         };
         let key = FunctionKey::of(func);
         self.enumerate_keyed(
@@ -195,9 +268,9 @@ impl OutcomeCache {
         engine: Engine,
         salt: u64,
         store: bool,
-    ) -> Arc<EnumeratedOutcomes> {
+    ) -> CacheEntry {
         if module.function(name).is_none() {
-            return Arc::new(vec![Err(ExecError::BadFunction(name.to_string()))]);
+            return bad_function(name);
         }
         let key = CacheKey {
             key: fkey.clone(),
@@ -224,15 +297,15 @@ impl OutcomeCache {
             missed = true;
             self.misses.fetch_add(1, Ordering::Relaxed);
             global_cache_counters().1.incr();
-            Arc::new(self.enumerate_uncached(
+            self.enumerate_uncached(
                 &key.key, module, name, inputs, mem, sem, limits, engine, store,
-            ))
+            )
         };
         let entry = match slot {
-            Some(slot) if store => Arc::clone(slot.get_or_init(enumerate)),
+            Some(slot) if store => slot.get_or_init(enumerate).clone(),
             // A transient probe never waits on or fills a pending slot.
             Some(slot) => match slot.get() {
-                Some(entry) => Arc::clone(entry),
+                Some(entry) => entry.clone(),
                 None => enumerate(),
             },
             None => enumerate(),
@@ -245,6 +318,12 @@ impl OutcomeCache {
     }
 
     /// The enumeration behind a cache miss.
+    ///
+    /// A compiled plan is retained only when the plan machine ran on
+    /// it: a bit-sliced miss compiles, lowers and drops its plan, since
+    /// its outcome entry already answers every later probe of the same
+    /// key, while a plan-machine function keeps its plan for the other
+    /// salts (initial memories, input options) it is enumerated under.
     #[allow(clippy::too_many_arguments)]
     fn enumerate_uncached(
         &self,
@@ -257,27 +336,35 @@ impl OutcomeCache {
         limits: Limits,
         engine: Engine,
         store: bool,
-    ) -> EnumeratedOutcomes {
+    ) -> CacheEntry {
         if engine == Engine::Reference {
-            inputs
-                .iter()
-                .map(|args| reference::enumerate_outcomes(module, name, args, mem, sem, limits))
-                .collect()
-        } else {
-            // Compiled plans are cached separately from outcome vectors:
-            // the plan key ignores limits, engine, and salt, so
-            // re-enumerating the same function under different input
-            // options still reuses the compilation. The outcome key's
-            // fingerprint doubles as the plan key, under the same
-            // storage policy.
-            match self
-                .plans
-                .get_or_compile_keyed_policy(fkey, module, name, sem, store)
-            {
-                Some((plan, idx)) => run_compiled(&plan, idx, inputs, mem, limits, engine),
-                None => vec![Err(ExecError::BadFunction(name.to_string()))],
-            }
+            return CacheEntry::Sets(Arc::new(
+                inputs
+                    .iter()
+                    .map(|args| reference::enumerate_outcomes(module, name, args, mem, sem, limits))
+                    .collect(),
+            ));
         }
+        // The plan key ignores limits, engine, and salt, so a function
+        // enumerated under different input options still reuses one
+        // compilation; the outcome key's fingerprint doubles as the
+        // plan key.
+        let (plan, idx, retained) = match self.plans.get(fkey, sem) {
+            Some((plan, idx)) => (plan, idx, true),
+            None => {
+                let plan = Arc::new(ModulePlan::compile(module, sem));
+                let Some(idx) = plan.function_index(name) else {
+                    return bad_function(name);
+                };
+                (plan, idx, false)
+            }
+        };
+        let entry = run_compiled(&plan, idx, inputs, mem, limits, engine);
+        let ran_plan_machine = matches!(entry, CacheEntry::Sets(_)) && engine != Engine::BitSliced;
+        if store && ran_plan_machine && !retained {
+            self.plans.retain(fkey, sem, (plan, idx));
+        }
+        entry
     }
 
     /// The embedded plan cache (distinct compiled functions, plan-cache
@@ -325,6 +412,15 @@ mod tests {
 
     const F: &str = "define i2 @g(i2 %x) {\nentry:\n  %a = add i2 %x, 1\n  ret i2 %a\n}";
 
+    /// Whether two handles share one stored entry.
+    fn same_entry(a: &CacheEntry, b: &CacheEntry) -> bool {
+        match (a, b) {
+            (CacheEntry::Lanes(a), CacheEntry::Lanes(b)) => Arc::ptr_eq(a, b),
+            (CacheEntry::Sets(a), CacheEntry::Sets(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     fn inputs() -> Vec<Vec<Val>> {
         (0..4).map(|v| vec![Val::int(2, v)]).collect()
     }
@@ -353,7 +449,7 @@ mod tests {
             0,
         );
         assert!(fresh.iter().all(Result::is_ok));
-        assert_eq!(&fresh, cached.as_ref());
+        assert_eq!(fresh, cached.clone().into_vec());
         assert_eq!(cache.misses(), 1);
         let again = cache.enumerate(
             &m,
@@ -366,7 +462,7 @@ mod tests {
             0,
         );
         assert_eq!(cache.hits(), 1);
-        assert!(Arc::ptr_eq(&cached, &again));
+        assert!(same_entry(&cached, &again));
     }
 
     #[test]
@@ -469,6 +565,29 @@ mod tests {
     }
 
     #[test]
+    fn only_the_plan_machine_retains_its_plan() {
+        let m = parse_module(F).unwrap();
+        let mem = Memory::zeroed(0);
+        let run = |cache: &OutcomeCache, engine| {
+            let sem = Semantics::proposed();
+            cache.enumerate(&m, "g", &inputs(), &mem, sem, Limits::default(), engine, 0)
+        };
+        let sliced = OutcomeCache::new();
+        let lanes = run(&sliced, Engine::Auto);
+        assert!(matches!(lanes, CacheEntry::Lanes(_)));
+        assert_eq!(sliced.plans().len(), 0, "a bit-sliced miss drops its plan");
+        let planned = OutcomeCache::new();
+        let sets = run(&planned, Engine::Plan);
+        assert!(matches!(sets, CacheEntry::Sets(_)));
+        assert_eq!(
+            planned.plans().len(),
+            1,
+            "a plan-machine miss keeps its plan"
+        );
+        assert_eq!(lanes.into_vec(), sets.into_vec());
+    }
+
+    #[test]
     fn missing_function_is_an_error_not_a_panic() {
         let m = parse_module(F).unwrap();
         let cache = OutcomeCache::new();
@@ -482,7 +601,7 @@ mod tests {
             Engine::Plan,
             0,
         );
-        assert!(matches!(r[0], Err(ExecError::BadFunction(_))));
+        assert!(matches!(r.get(0), Err(ExecError::BadFunction(_))));
     }
 
     #[test]
@@ -510,6 +629,6 @@ mod tests {
         });
         assert_eq!((cache.misses(), cache.hits()), (1, 7));
         assert_eq!(cache.plans().len(), 1);
-        assert!(entries.iter().all(|e| Arc::ptr_eq(e, &entries[0])));
+        assert!(entries.iter().all(|e| same_entry(e, &entries[0])));
     }
 }

@@ -8,10 +8,12 @@
 //! refinement checker, campaigns, benches) selects one with [`Engine`]
 //! and calls [`enumerate_function`] — never a concrete evaluator.
 
+use std::sync::Arc;
+
 use frost_ir::Module;
 
 use crate::bitslice::BitslicePlan;
-use crate::cache::EnumeratedOutcomes;
+use crate::cache::{CacheEntry, EnumeratedOutcomes};
 use crate::exec::{reference, ExecError, Limits};
 use crate::mem::Memory;
 use crate::plan::{Machine, ModulePlan};
@@ -72,12 +74,18 @@ pub fn enumerate_function(
             .map(|_| Err(ExecError::BadFunction(format!("no function @{name}"))))
             .collect();
     };
-    run_compiled(&plan, idx, inputs, mem, limits, engine)
+    run_compiled(&plan, idx, inputs, mem, limits, engine).into_vec()
 }
 
 /// Runs an already-compiled plan over every input under a plan-backed
 /// engine ([`Engine::Plan`], [`Engine::BitSliced`], or [`Engine::Auto`]
 /// — never [`Engine::Reference`], which has no compiled form).
+///
+/// The bit-sliced engines try [`BitslicePlan::compile`] exactly once:
+/// an accepted lowering yields [`CacheEntry::Lanes`], a refused one
+/// either falls back to the plan machine (`Auto`) or reports the
+/// refusal on every input (`BitSliced`). [`CacheEntry::Sets`] from any
+/// engine but `BitSliced` therefore means the plan machine ran.
 pub(crate) fn run_compiled(
     plan: &ModulePlan,
     idx: usize,
@@ -85,19 +93,21 @@ pub(crate) fn run_compiled(
     mem: &Memory,
     limits: Limits,
     engine: Engine,
-) -> EnumeratedOutcomes {
-    match engine {
-        Engine::Reference => unreachable!("reference engine has no compiled form"),
-        Engine::Plan => plan_loop(plan, idx, inputs, mem, limits),
-        Engine::BitSliced => match BitslicePlan::compile(plan, idx, inputs, limits) {
-            Ok(bp) => bp.evaluate(mem).into_iter().map(Ok).collect(),
-            Err(e) => inputs.iter().map(|_| Err(e.clone())).collect(),
-        },
-        Engine::Auto => match BitslicePlan::compile(plan, idx, inputs, limits) {
-            Ok(bp) => bp.evaluate(mem).into_iter().map(Ok).collect(),
-            Err(_) => plan_loop(plan, idx, inputs, mem, limits),
-        },
+) -> CacheEntry {
+    if engine != Engine::Plan {
+        debug_assert!(
+            engine != Engine::Reference,
+            "reference engine has no compiled form"
+        );
+        match BitslicePlan::compile(plan, idx, inputs, limits) {
+            Ok(bp) => return CacheEntry::Lanes(Arc::new((bp.evaluate_lanes(), mem.snapshot()))),
+            Err(e) if engine == Engine::BitSliced => {
+                return CacheEntry::Sets(Arc::new(inputs.iter().map(|_| Err(e.clone())).collect()))
+            }
+            Err(_) => {}
+        }
     }
+    CacheEntry::Sets(Arc::new(plan_loop(plan, idx, inputs, mem, limits)))
 }
 
 fn plan_loop(

@@ -63,8 +63,8 @@ pub mod plan;
 pub mod sem;
 pub mod val;
 
-pub use bitslice::BitslicePlan;
-pub use cache::{enumerate_all_inputs, EnumeratedOutcomes, OutcomeCache};
+pub use bitslice::{BitslicePlan, LaneOutcomes};
+pub use cache::{enumerate_all_inputs, CacheEntry, EnumeratedOutcomes, OutcomeCache};
 pub use engine::{enumerate_function, Engine};
 pub use error::FrostError;
 pub use exec::{

@@ -228,6 +228,10 @@ pub(crate) struct FnPlan {
     /// compile time; the bit-sliced backend keys its categorical
     /// rejection off this instead of rediscovering guards per step.
     pub(crate) has_guards: bool,
+    /// Width of the declared integer return type (`0` for any other
+    /// return type): a returned poison constant carries no width of
+    /// its own.
+    pub(crate) ret_int_bits: u32,
 }
 
 /// A whole module compiled for execution under one [`Semantics`].
@@ -746,6 +750,7 @@ fn compile_function(
         steps,
         edges,
         has_guards,
+        ret_int_bits: func.ret_ty.int_bits().unwrap_or(0),
     }
 }
 
@@ -1612,62 +1617,50 @@ impl PlanCache {
         sem: Semantics,
     ) -> Option<(Arc<ModulePlan>, usize)> {
         let key = FunctionKey::of(module.function(name)?);
-        self.get_or_compile_keyed(&key, module, name, sem)
-    }
-
-    /// [`PlanCache::get_or_compile`] for callers that already computed
-    /// the function's fingerprint (e.g. [`crate::cache::OutcomeCache`],
-    /// whose own key
-    /// contains it) — saves re-encoding the body on every probe.
-    ///
-    /// `key` must be `FunctionKey::of` of `name`'s body; a mismatched
-    /// key silently poisons the cache for that fingerprint.
-    pub fn get_or_compile_keyed(
-        &self,
-        key: &FunctionKey,
-        module: &Module,
-        name: &str,
-        sem: Semantics,
-    ) -> Option<(Arc<ModulePlan>, usize)> {
-        self.get_or_compile_keyed_policy(key, module, name, sem, true)
-    }
-
-    /// [`PlanCache::get_or_compile_keyed`] with an explicit storage
-    /// policy. `store = false` still probes the table (a canonical form
-    /// cached by an earlier target check is reused) but never inserts
-    /// on a miss: exhaustive sweeps walk the source space in order and
-    /// never revisit a source shape, so storing every source plan only
-    /// grows the map — and the allocator's working set — linearly with
-    /// the campaign.
-    pub fn get_or_compile_keyed_policy(
-        &self,
-        key: &FunctionKey,
-        module: &Module,
-        name: &str,
-        sem: Semantics,
-        store: bool,
-    ) -> Option<(Arc<ModulePlan>, usize)> {
-        if let Some(entry) = self
-            .map
-            .lock()
-            .expect("plan cache lock")
-            .get(&(key.clone(), sem))
-        {
-            plan_counters().cache_hits.incr();
-            return Some(entry.clone());
+        if let Some(entry) = self.get(&key, sem) {
+            return Some(entry);
         }
         // Compile outside the lock; a racing double-compile is a
         // harmless overwrite of an identical plan.
         let plan = Arc::new(ModulePlan::compile(module, sem));
         let idx = plan.function_index(name)?;
         let entry = (plan, idx);
-        if store {
-            self.map
-                .lock()
-                .expect("plan cache lock")
-                .insert((key.clone(), sem), entry.clone());
-        }
+        self.retain(&key, sem, entry.clone());
         Some(entry)
+    }
+
+    /// The stored plan for fingerprint `key` under `sem`, if any
+    /// (counted as a plan-cache hit).
+    pub(crate) fn get(
+        &self,
+        key: &FunctionKey,
+        sem: Semantics,
+    ) -> Option<(Arc<ModulePlan>, usize)> {
+        let entry = self
+            .map
+            .lock()
+            .expect("plan cache lock")
+            .get(&(key.clone(), sem))
+            .cloned();
+        if entry.is_some() {
+            plan_counters().cache_hits.incr();
+        }
+        entry
+    }
+
+    /// Stores a compiled plan under fingerprint `key` and `sem`. `key`
+    /// must be `FunctionKey::of` of the entry function's body; a
+    /// mismatched key silently poisons the cache for that fingerprint.
+    pub(crate) fn retain(
+        &self,
+        key: &FunctionKey,
+        sem: Semantics,
+        entry: (Arc<ModulePlan>, usize),
+    ) {
+        self.map
+            .lock()
+            .expect("plan cache lock")
+            .insert((key.clone(), sem), entry);
     }
 
     /// Distinct (function, semantics) combinations stored.

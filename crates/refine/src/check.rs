@@ -16,13 +16,13 @@ use std::sync::OnceLock;
 use frost_telemetry::Counter;
 
 use frost_core::{
-    enumerate_function, uninit_fill, Bit, Engine, ExecError, Limits, Memory, Outcome, OutcomeCache,
-    OutcomeSet, Ptr, Semantics, Val,
+    enumerate_function, uninit_fill, Bit, CacheEntry, Engine, ExecError, Limits, Memory, Outcome,
+    OutcomeCache, OutcomeSet, Ptr, Semantics, Val,
 };
 use frost_ir::{Function, FunctionKey, Module, Ty};
 
 use crate::inputs::{enumerate_inputs_cached, enumerate_memories, InputOptions};
-use crate::lattice::{set_refines, unjustified};
+use crate::lattice::{lane_violations, mem_refines, set_refines, unjustified};
 
 /// Configuration of a refinement check.
 ///
@@ -462,6 +462,7 @@ fn check_refinement_cached_impl(
         .expect("target memory shape matches the source's");
     let src_key = FunctionKey::of(sf);
     let tgt_key = FunctionKey::of(tf);
+    let ret_bits = sf.ret_ty.int_bits().unwrap_or(0);
 
     // Identity fast path: α-equivalent bodies under one semantics — the
     // no-op-transform case, which dominates campaign corpora. Refinement
@@ -489,10 +490,8 @@ fn check_refinement_cached_impl(
                 salt,
                 !policy.transient_src,
             );
-            for (i, args) in tuples.iter().enumerate() {
-                if let Err(e) = &all[i] {
-                    return inconclusive(e.clone(), args, "source");
-                }
+            if let Some((i, e)) = all.first_error() {
+                return inconclusive(e.clone(), &tuples[i], "source");
             }
         }
         return CheckResult::Refines;
@@ -524,29 +523,57 @@ fn check_refinement_cached_impl(
             salt,
             true,
         );
+        // A bit-sliced side: compare every lane at once. Only a failing
+        // comparison walks the inputs below, which name the first
+        // failing one and build its counterexample.
+        if lanes_refine(&src_all, &tgt_all, ret_bits) {
+            continue;
+        }
 
         let mem_desc = opts
             .inputs
             .memory_values
             .then(|| render_initial_mem(src_mem, block_sizes));
         for (i, args) in tuples.iter().enumerate() {
-            let src = match &src_all[i] {
+            let src = match src_all.get(i) {
                 Ok(s) => s,
                 Err(e) => return inconclusive(e.clone(), args, "source"),
             };
             if src.may_ub() {
                 continue; // source UB grants total freedom on this input
             }
-            let tgt = match &tgt_all[i] {
+            let tgt = match tgt_all.get(i) {
                 Ok(s) => s,
                 Err(e) => return inconclusive(e.clone(), args, "target"),
             };
-            if !set_refines(tgt, src) {
-                return violation(args.clone(), mem_desc, src.clone(), tgt.clone());
+            if !set_refines(&tgt, &src) {
+                return violation(args.clone(), mem_desc, src.into_owned(), tgt.into_owned());
             }
         }
     }
     CheckResult::Refines
+}
+
+/// Whether `tgt` refines `src` on every input, decided on lane masks
+/// with [`lane_violations`]. `false` means "not shown": neither side is
+/// bit-sliced, the other side's per-input results do not fit the lane
+/// form ([`CacheEntry::lane_form`]), the memories do not refine, or
+/// some lane fails.
+fn lanes_refine(src: &CacheEntry, tgt: &CacheEntry, ret_bits: u32) -> bool {
+    if !matches!(src, CacheEntry::Lanes(_)) && !matches!(tgt, CacheEntry::Lanes(_)) {
+        return false;
+    }
+    let (Some((s, s_mem)), Some((t, t_mem))) = (src.lane_form(ret_bits), tgt.lane_form(ret_bits))
+    else {
+        return false;
+    };
+    // Without a returning outcome on one side, its memory is never
+    // compared.
+    let mem_ok = match (t_mem, s_mem) {
+        (Some(t_mem), Some(s_mem)) => mem_refines(t_mem, s_mem),
+        _ => true,
+    };
+    s.ret_bits() == t.ret_bits() && mem_ok && lane_violations(&t, &s) == 0
 }
 
 /// Fingerprint of everything that shapes enumeration besides the

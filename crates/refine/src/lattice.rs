@@ -10,7 +10,7 @@
 //!   `select %c, %x, undef` bug is exactly a violation of this);
 //! * a defined value refines only itself.
 
-use frost_core::{Bit, Outcome, OutcomeSet, Val};
+use frost_core::{Bit, LaneOutcomes, Outcome, OutcomeSet, Val};
 
 /// Returns `true` if value `tgt` refines value `src`.
 pub fn val_refines(tgt: &Val, src: &Val) -> bool {
@@ -104,6 +104,38 @@ pub fn set_refines(tgt: &OutcomeSet, src: &OutcomeSet) -> bool {
     }
     tgt.iter()
         .all(|t| src.iter().any(|s| outcome_refines(t, s)))
+}
+
+/// The lanes on which `tgt` does not refine `src`: [`set_refines`] on
+/// every lane at once, as word operations over the outcome codes, for
+/// two sides whose `Ret` outcomes carry refining memories (the caller
+/// checks [`mem_refines`] on the two snapshots).
+///
+/// A target value is justified by the same value, by undef or by
+/// poison; undef by undef or poison; poison by poison; `ret void` by
+/// `ret void`; UB by nothing. A lane where the source may be UB is
+/// free.
+///
+/// # Panics
+///
+/// Panics unless both sides have the same lane count and return width.
+pub fn lane_violations(tgt: &LaneOutcomes, src: &LaneOutcomes) -> u64 {
+    assert_eq!(
+        (tgt.lanes(), tgt.ret_bits()),
+        (src.lanes(), src.ret_bits()),
+        "lane outcomes of different shapes"
+    );
+    let (t, s) = (|c| tgt.mask(c), |c| src.mask(c));
+    let poison = s(LaneOutcomes::POISON);
+    let undef = poison | s(LaneOutcomes::UNDEF);
+    let mut bad = t(LaneOutcomes::UB)
+        | t(LaneOutcomes::POISON) & !poison
+        | t(LaneOutcomes::UNDEF) & !undef
+        | t(LaneOutcomes::RET_VOID) & !s(LaneOutcomes::RET_VOID);
+    for v in 0..LaneOutcomes::VALUES {
+        bad |= t(v) & !(s(v) | undef);
+    }
+    bad & !s(LaneOutcomes::UB)
 }
 
 /// The target outcomes not justified by any source outcome (empty iff
@@ -219,6 +251,73 @@ mod tests {
         assert!(set_refines(&tgt, &src));
         // Widening is not.
         assert!(!set_refines(&src, &tgt));
+    }
+
+    /// The outcome set a lane holding `codes` (a bit per
+    /// [`LaneOutcomes`] code) stands for, built independently of
+    /// [`LaneOutcomes::outcome_set`].
+    fn set_of(codes: u16, ret_bits: u32) -> OutcomeSet {
+        let ret = |val| Outcome::Ret {
+            val,
+            mem: Vec::new(),
+            trace: Vec::new(),
+        };
+        let mut set = OutcomeSet::new();
+        for c in (0..LaneOutcomes::CODES).filter(|c| codes >> c & 1 == 1) {
+            set.insert(match c {
+                LaneOutcomes::UB => Outcome::Ub,
+                LaneOutcomes::RET_VOID => ret(None),
+                LaneOutcomes::POISON => ret(Some(Val::Poison)),
+                LaneOutcomes::UNDEF => ret(Some(Val::Undef(Ty::Int(ret_bits)))),
+                v => ret(Some(Val::int(ret_bits, v as u128))),
+            });
+        }
+        set
+    }
+
+    #[test]
+    fn lane_violations_agree_with_set_refines_on_every_lane_pair() {
+        use frost_core::CacheEntry;
+        use std::sync::Arc;
+        let codes = |c: &[usize]| c.iter().fold(0u16, |m, c| m | 1 << c);
+        let specials = codes(&[LaneOutcomes::POISON, LaneOutcomes::UNDEF, LaneOutcomes::UB]);
+        // Per return shape, the codes a lane can hold: i1/i2/i3 values
+        // with poison, undef and UB; `ret void` with UB.
+        let shapes = [
+            (1, 0b11 | specials),
+            (2, 0b1111 | specials),
+            (3, 0xff | specials),
+            (0, codes(&[LaneOutcomes::RET_VOID, LaneOutcomes::UB])),
+        ];
+        for (ret_bits, allowed) in shapes {
+            // Every subset of the allowed codes, as a 16-bit code word.
+            let subsets: Vec<u16> = (0u16..=allowed).filter(|s| s & !allowed == 0).collect();
+            let sets: Vec<OutcomeSet> = subsets.iter().map(|&s| set_of(s, ret_bits)).collect();
+            let lanes_of = |sets: &[OutcomeSet]| {
+                let entry = CacheEntry::Sets(Arc::new(sets.iter().cloned().map(Ok).collect()));
+                entry.lane_form(ret_bits).expect("fits the lane form").0
+            };
+            // 64 sources per lane word; every chunk has the same width.
+            let sources: Vec<LaneOutcomes> = sets.chunks(64).map(lanes_of).collect();
+            for (chunk, src) in sets.chunks(64).zip(&sources) {
+                for (l, set) in chunk.iter().enumerate() {
+                    assert_eq!(&src.outcome_set(l, &Vec::new()), set, "lane round trip");
+                }
+            }
+            for t in &sets {
+                let tgt = lanes_of(&vec![t.clone(); sources[0].lanes()]);
+                for (chunk, src) in sets.chunks(64).zip(&sources) {
+                    let bad = lane_violations(&tgt, src);
+                    for (l, s) in chunk.iter().enumerate() {
+                        assert_eq!(
+                            bad >> l & 1 == 0,
+                            set_refines(t, s),
+                            "i{ret_bits}: target {t} vs source {s}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

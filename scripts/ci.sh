@@ -20,6 +20,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+echo "==> verdict-bench build + 2 s arith2 smoke"
+# verdict-bench is a workspace of its own, so none of the cargo steps
+# above compile it: an API change that breaks the benchmark would pass
+# them. Build it against the workspace crates and require a correct
+# verdict record (its last stdout line) from a short arith2 run.
+cargo build --release --offline -q --manifest-path verdict-bench/Cargo.toml
+cargo run --release --offline -q --manifest-path verdict-bench/Cargo.toml -- \
+    --workload arith2 --seed 1 --seconds 2 --trace 0 2>/dev/null \
+    | tail -n 1 > bench-ci.out
+grep -q '"correct": true' bench-ci.out || {
+    echo "ci: verdict-bench arith2 smoke did not report correct: true" >&2
+    cat bench-ci.out >&2
+    exit 1
+}
+rm -f bench-ci.out
+
 echo "==> plan-vs-reference differential smoke (tests/exec_plan.rs)"
 # A thin §6 stride through both the plan engine and the retained
 # reference tree-walk, under both semantics — keeps the reference

@@ -112,13 +112,14 @@ fn sweep_cfg() -> GenConfig {
 }
 
 fn sweep(
+    engine: Engine,
     workers: usize,
     budget: Option<usize>,
     resume: Option<&CampaignCheckpoint>,
 ) -> (ValidationReport, CampaignCheckpoint) {
     let pm = o2_pipeline(PipelineMode::Legacy);
     let mut campaign =
-        Campaign::with_options(CheckOptions::new(Semantics::legacy_gvn()).engine(Engine::Auto))
+        Campaign::with_options(CheckOptions::new(Semantics::legacy_gvn()).engine(engine))
             .with_workers(workers)
             .with_shard_size(3);
     if let Some(b) = budget {
@@ -144,7 +145,7 @@ fn assert_same_verdicts(a: &ValidationReport, b: &ValidationReport, what: &str) 
 /// uninterrupted single-worker sweep produces.
 #[test]
 fn checkpointed_sweep_survives_kill_and_resume_at_1_2_8_workers() {
-    let (full, full_cp) = sweep(1, None, None);
+    let (full, full_cp) = sweep(Engine::Auto, 1, None, None);
     assert!(full_cp.done, "tiny space must be exhausted");
     assert!(
         !full.is_clean(),
@@ -154,7 +155,7 @@ fn checkpointed_sweep_survives_kill_and_resume_at_1_2_8_workers() {
     let dir = std::env::temp_dir().join("frost-exec-bitslice-test");
     std::fs::create_dir_all(&dir).unwrap();
     for workers in [1usize, 2, 8] {
-        let (partial, cp) = sweep(workers, Some(7), None);
+        let (partial, cp) = sweep(Engine::Auto, workers, Some(7), None);
         assert_eq!(partial.total, 7, "budget cuts after 7 at {workers} workers");
         assert!(partial.stats.budget_hit && !cp.done);
 
@@ -164,7 +165,7 @@ fn checkpointed_sweep_survives_kill_and_resume_at_1_2_8_workers() {
         assert_eq!(restored, cp, "JSONL round trip at {workers} workers");
         std::fs::remove_file(&path).ok();
 
-        let (resumed, resumed_cp) = sweep(workers, None, Some(&restored));
+        let (resumed, resumed_cp) = sweep(Engine::Auto, workers, None, Some(&restored));
         assert_same_verdicts(
             &full,
             &resumed,
@@ -172,6 +173,21 @@ fn checkpointed_sweep_survives_kill_and_resume_at_1_2_8_workers() {
         );
         assert_eq!(full_cp, resumed_cp, "checkpoints at {workers} workers");
     }
+}
+
+/// The bit-sliced engine's lane-mask comparison is a shortcut, never a
+/// second opinion: the legacy sweep reports the same violations, with
+/// byte-identical counterexample text, under `Engine::Auto` as on the
+/// plan machine.
+#[test]
+fn auto_and_plan_sweeps_report_identical_counterexamples() {
+    let (auto, _) = sweep(Engine::Auto, 1, None, None);
+    let (plan, _) = sweep(Engine::Plan, 1, None, None);
+    assert!(
+        !auto.violations.is_empty(),
+        "the sweep must find violations"
+    );
+    assert_same_verdicts(&auto, &plan, "Auto vs Plan");
 }
 
 /// The strict engines disagree on *errors* only where they should:
